@@ -174,9 +174,8 @@ func BenchmarkTable4RealWorld(b *testing.B) {
 // --- micro benchmarks of the fuzzing hot path ---
 
 // BenchmarkCampaignThroughput measures raw sequence executions per second on
-// the Crowdsale contract (the fuzzer's end-to-end hot path), once on the
-// sequential engine and once with the batch executor fanned across all
-// cores. `go run ./cmd/benchtab -exp campaign` emits the same measurement as
+// the Crowdsale contract (the fuzzer's end-to-end hot path), once at one
+// worker and once with the round fanned across all cores. `go run ./cmd/benchtab -exp campaign` emits the same measurement as
 // machine-readable JSON for the perf trajectory.
 func BenchmarkCampaignThroughput(b *testing.B) {
 	comp, err := minisol.Compile(corpus.Crowdsale())

@@ -75,7 +75,7 @@ func main() {
 		contracts = flag.String("contracts", "", "comma-separated contract names (default: the 3-contract diff set)")
 		iters     = flag.Int("iters", 400, "iteration budget per campaign (gate defaults to the fixed gate budget)")
 		seed      = flag.Int64("seed", 1, "campaign seed")
-		workers   = flag.Int("workers", 0, "batched-class worker count (0 = NumCPU, capped at 8)")
+		workers   = flag.Int("workers", 0, "worker count of the wN variants compared against the w1 reference (0 = NumCPU, capped at 8)")
 		out       = flag.String("out", "", "transcript output path (modes record, fleet-ref)")
 		in        = flag.String("in", "", "transcript input path (mode replay)")
 		specPath  = flag.String("spec", "", "campaign spec JSON path (mode fleet-ref)")

@@ -35,9 +35,9 @@
 // campaign on the same contract set cross-pollinates.
 //
 // -workers N fans each energy round's batch of mutated children across N
-// executor goroutines (0 = all CPU cores). N=1 is the sequential engine,
-// fully reproducible across machines for a fixed seed; N>1 is reproducible
-// for a fixed (seed, N) pair.
+// executor goroutines (0 = all CPU cores). Every N runs the same engine and
+// the same schedule: results are fully reproducible across machines and
+// worker counts for a fixed seed.
 //
 // -corpus-dir connects the campaign to a persistent seed store: seeds other
 // campaigns on the same contract exported are injected at startup, and the

@@ -2,7 +2,9 @@ package conformance
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"mufuzz/internal/corpus"
@@ -71,6 +73,28 @@ func TestTranscriptEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTranscriptRejectsV1 pins the version gate: a v1 transcript recorded a
+// schedule (batched= options token, replayed draw-counted rng) this build
+// can no longer reproduce, so Decode must refuse it with an error naming its
+// version instead of replaying it into a guaranteed divergence.
+func TestTranscriptRejectsV1(t *testing.T) {
+	comp, err := minisol.Compile(corpus.Crowdsale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := RecordCampaign("crowdsale", comp, baseOptions(3, 50)).Transcript.EncodeBytes()
+	cur := []byte(fmt.Sprintf("mufuzz-transcript v%d\n", Version))
+	if !bytes.HasPrefix(enc, cur) {
+		t.Fatalf("transcript does not start with %q", cur)
+	}
+	old := bytes.Replace(enc, cur, []byte("mufuzz-transcript v1\n"), 1)
+	old = bytes.Replace(old, []byte(" workers=1 copystate="), []byte(" workers=1 batched=0 copystate="), 1)
+	_, err = Decode(bytes.NewReader(old))
+	if err == nil || !strings.Contains(err.Error(), "format v1") {
+		t.Fatalf("v1 transcript: got %v, want a rejection naming v1", err)
+	}
+}
+
 // TestRecordedReplayByteIdentical is the record/replay pin: replaying a full
 // campaign's transcript through the engine must reproduce it byte for byte.
 func TestRecordedReplayByteIdentical(t *testing.T) {
@@ -98,9 +122,8 @@ func TestVerifySequences(t *testing.T) {
 }
 
 // TestDifferentialMatrix proves the engine-variant equivalences on three
-// corpus contracts: sequential {Fork/Copy, cache on/off} and batched
-// {workers 1/N, Fork/Copy, cache on/off} must be execution-for-execution
-// identical.
+// corpus contracts: workers 1/N, Fork/Copy, cache on/off, and IR on/off must
+// be execution-for-execution identical.
 func TestDifferentialMatrix(t *testing.T) {
 	workers := runtime.NumCPU()
 	if workers > 8 {
@@ -149,7 +172,7 @@ func TestCmpFeedbackAblationConformance(t *testing.T) {
 }
 
 // TestBatchedIndependentOfGOMAXPROCS pins the coordinator's deterministic
-// batch-order fold: with a fixed worker count, the parallel engine's results
+// schedule-order fold: with a fixed worker count, the parallel engine's results
 // must not depend on how the runtime schedules the executor goroutines. Two
 // runs under deliberately different GOMAXPROCS must produce byte-identical
 // transcripts.

@@ -155,80 +155,36 @@ type Variant struct {
 	Apply func(fuzz.Options) fuzz.Options
 }
 
-// SequentialVariants returns the sequential-schedule equivalence class: the
-// classic Workers=1 engine (reference) against the same schedule with the
-// copy-on-write layer swapped for deep copies, and with the prefix cache
-// disabled. All three must produce byte-identical transcripts.
-func SequentialVariants() []Variant {
+// Variants returns the engine's one equivalence class: the engine at one
+// worker (reference) against N workers, and the N-worker engine on deep
+// copies, without the prefix cache, and without the IR. The schedule is a
+// pure function of the campaign seed, so every variant must produce
+// byte-identical transcripts regardless of worker count or executor
+// completion order — the end-to-end proof that the persistent pool, the
+// streaming in-order fold, the speculative line search, the copy-on-write
+// state layer, the checkpoint cache, and the compiled IR change nothing
+// observable.
+func Variants(workers int) []Variant {
 	return []Variant{
-		{"seq-w1", func(o fuzz.Options) fuzz.Options {
+		{"w1", func(o fuzz.Options) fuzz.Options {
 			o.Workers = 1
-			o.ForceBatched = false
 			return o
 		}},
-		{"seq-w1-copystate", func(o fuzz.Options) fuzz.Options {
-			o.Workers = 1
-			o.ForceBatched = false
-			o.UseCopyState = true
-			return o
-		}},
-		{"seq-w1-nocache", func(o fuzz.Options) fuzz.Options {
-			o.Workers = 1
-			o.ForceBatched = false
-			o.NoPrefixCache = true
-			return o
-		}},
-		{"seq-w1-noir", func(o fuzz.Options) fuzz.Options {
-			o.Workers = 1
-			o.ForceBatched = false
-			o.NoIR = true
-			return o
-		}},
-	}
-}
-
-// BatchedVariants returns the batched-schedule equivalence class: the
-// pipelined engine pinned to one worker (reference) against the pipelined
-// engine at N workers, the legacy fork-join barrier engine (NoPipeline) at
-// both widths, and the N-worker pipeline on deep copies, without the prefix
-// cache, and without the IR. The batched schedule is a pure function of the
-// campaign seed, so every variant must produce byte-identical transcripts
-// regardless of engine shape, worker count, or executor completion order —
-// the end-to-end proof that the persistent pool, the streaming in-order
-// fold, and the speculative line search changed nothing observable.
-func BatchedVariants(workers int) []Variant {
-	return []Variant{
-		{"pipelined-w1", func(o fuzz.Options) fuzz.Options {
-			o.Workers = 1
-			o.ForceBatched = true
-			return o
-		}},
-		{fmt.Sprintf("pipelined-w%d", workers), func(o fuzz.Options) fuzz.Options {
+		{fmt.Sprintf("w%d", workers), func(o fuzz.Options) fuzz.Options {
 			o.Workers = workers
 			return o
 		}},
-		{"barrier-w1", func(o fuzz.Options) fuzz.Options {
-			o.Workers = 1
-			o.ForceBatched = true
-			o.NoPipeline = true
-			return o
-		}},
-		{fmt.Sprintf("barrier-w%d", workers), func(o fuzz.Options) fuzz.Options {
-			o.Workers = workers
-			o.NoPipeline = true
-			return o
-		}},
-		{fmt.Sprintf("pipelined-w%d-copystate", workers), func(o fuzz.Options) fuzz.Options {
+		{fmt.Sprintf("w%d-copystate", workers), func(o fuzz.Options) fuzz.Options {
 			o.Workers = workers
 			o.UseCopyState = true
 			return o
 		}},
-		{fmt.Sprintf("pipelined-w%d-nocache", workers), func(o fuzz.Options) fuzz.Options {
+		{fmt.Sprintf("w%d-nocache", workers), func(o fuzz.Options) fuzz.Options {
 			o.Workers = workers
 			o.NoPrefixCache = true
 			return o
 		}},
-		{fmt.Sprintf("pipelined-w%d-noir", workers), func(o fuzz.Options) fuzz.Options {
+		{fmt.Sprintf("w%d-noir", workers), func(o fuzz.Options) fuzz.Options {
 			o.Workers = workers
 			o.NoIR = true
 			return o
@@ -236,10 +192,9 @@ func BatchedVariants(workers int) []Variant {
 	}
 }
 
-// WorldDifferentialMatrix runs the batched equivalence class on a
-// multi-contract world campaign: the pipelined engine pinned to one worker
-// ("world-w1", ForceBatched) against the same world at N workers
-// ("world-wN"). Multi-contract deployment, cross-contract callee routing,
+// WorldDifferentialMatrix runs the equivalence class on a multi-contract
+// world campaign: the engine at one worker ("world-w1") against the same
+// world at N workers ("world-wN"). Multi-contract deployment, cross-contract callee routing,
 // and attacker-spec compilation all execute on the worker side, so the pair
 // proves none of them leaks schedule nondeterminism. mk builds a fresh
 // (target, world) pair per recording — world options carry live member
@@ -248,11 +203,9 @@ func WorldDifferentialMatrix(name string, mk func() (fuzz.Target, *fuzz.WorldOpt
 	if workers < 2 {
 		workers = 2
 	}
-	base.ForceBatched = false
 	base.UseCopyState = false
 	base.NoPrefixCache = false
 	base.NoIR = false
-	base.NoPipeline = false
 	record := func(apply func(fuzz.Options) fuzz.Options) *Run {
 		t, w := mk()
 		o := apply(base)
@@ -261,7 +214,6 @@ func WorldDifferentialMatrix(name string, mk func() (fuzz.Target, *fuzz.WorldOpt
 	}
 	ref := record(func(o fuzz.Options) fuzz.Options {
 		o.Workers = 1
-		o.ForceBatched = true
 		return o
 	})
 	run := record(func(o fuzz.Options) fuzz.Options {
@@ -290,38 +242,35 @@ type PairResult struct {
 	Divergence *Divergence
 }
 
-// DifferentialMatrix runs both equivalence classes on one contract and
-// compares every variant against its class reference. workers selects the
-// parallel fan-out of the batched class (values < 2 are raised to 2 so the
-// matrix genuinely exercises concurrency).
+// DifferentialMatrix runs the equivalence class on one contract and
+// compares every variant against the w1 reference. workers selects the
+// parallel fan-out (values < 2 are raised to 2 so the matrix genuinely
+// exercises concurrency).
 func DifferentialMatrix(name string, comp *minisol.Compiled, base fuzz.Options, workers int) []PairResult {
 	if workers < 2 {
 		workers = 2
 	}
 	// The matrix owns the engine-variant dimensions; a base carrying one of
-	// them would silently collapse an equivalence class onto itself.
-	base.ForceBatched = false
+	// them would silently collapse the equivalence class onto itself.
 	base.UseCopyState = false
 	base.NoPrefixCache = false
 	base.NoIR = false
-	base.NoPipeline = false
+	variants := Variants(workers)
+	ref := RecordCampaign(name, comp, variants[0].Apply(base))
 	var out []PairResult
-	for _, class := range [][]Variant{SequentialVariants(), BatchedVariants(workers)} {
-		ref := RecordCampaign(name, comp, class[0].Apply(base))
-		for _, v := range class[1:] {
-			run := RecordCampaign(name, comp, v.Apply(base))
-			d := Diff(ref.Transcript, run.Transcript)
-			if d != nil {
-				MinimizePoCs(d, ref, run)
-			}
-			out = append(out, PairResult{
-				Contract:   name,
-				Reference:  class[0].Name,
-				Variant:    v.Name,
-				Equal:      d == nil,
-				Divergence: d,
-			})
+	for _, v := range variants[1:] {
+		run := RecordCampaign(name, comp, v.Apply(base))
+		d := Diff(ref.Transcript, run.Transcript)
+		if d != nil {
+			MinimizePoCs(d, ref, run)
 		}
+		out = append(out, PairResult{
+			Contract:   name,
+			Reference:  variants[0].Name,
+			Variant:    v.Name,
+			Equal:      d == nil,
+			Divergence: d,
+		})
 	}
 	return out
 }

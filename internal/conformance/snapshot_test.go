@@ -9,8 +9,8 @@ import (
 // TestSnapshotResumeConformance is the acceptance pin for campaign
 // snapshot/resume: a campaign paused every few rounds, snapshotted through
 // the encode→decode round trip, torn down, and resumed must produce a
-// transcript byte-identical to the uninterrupted campaign — under both the
-// sequential engine (workers=1) and the batched parallel engine (workers=N).
+// transcript byte-identical to the uninterrupted campaign — at one worker
+// and at N workers.
 // Every seed pick, every mutated child, every coverage delta, and every
 // oracle report must line up record for record.
 func TestSnapshotResumeConformance(t *testing.T) {

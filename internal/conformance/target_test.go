@@ -12,13 +12,13 @@ import (
 
 // targetGoldenHashes pins the keccak256 of each diff contract's transcript
 // recorded through the Target interface (minisol adapter, MuFuzz preset,
-// seed 5, 200 iterations). Regenerated when comparison-operand feedback and
-// mined dictionaries became part of the MuFuzz default. Regenerate with
+// seed 5, 200 iterations). Regenerated when the engine moved to a single
+// round engine, a single generator, and transcript format v2. Regenerate with
 // MUFUZZ_GOLDEN_REGEN=1 after an intentional behavior change.
 var targetGoldenHashes = map[string]string{
-	"crowdsale":         "4083c35706f55f5e5f856278a5ad630eab21b29acdfc90b60e2528a03a98e80a",
-	"crowdsale-buggy":   "f2990dc8a6e458d9b6f5198666d7d9998f5c1b101e8b4040e98d0965510b1cbb",
-	"re_swc107_crossfn": "3a54e0bbd8ce98022c4ddb4ee4f8e5f90ec2b40edeb8230f03cf4bd2c268e037",
+	"crowdsale":         "9c97444b238d0c440a45acbce72c3351b9e746e1509c63c6908d782a41283ea9",
+	"crowdsale-buggy":   "6001f0ae7c3783e9438f4cb6b60e26080a2d0222081da00326b08a43db98a4d0",
+	"re_swc107_crossfn": "079cc0a5e0774f6cf8ff333d8346d4cdcd937b01810e0b76a693f15985d62a6a",
 }
 
 // TestTargetAdapterConformance pins the Target refactor three ways: a

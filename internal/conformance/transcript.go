@@ -42,7 +42,10 @@ import (
 )
 
 // Version is the transcript format version this package reads and writes.
-const Version = 1
+// v2 is the single-engine, single-generator schedule: its options line drops
+// the batched= token. v1 transcripts recorded a schedule this build can no
+// longer reproduce, so Decode rejects them by version.
+const Version = 2
 
 // magic is the first line of every encoded transcript.
 const magic = "mufuzz-transcript"
@@ -61,7 +64,6 @@ type OptionsSummary struct {
 	EnergyBase    int
 	InitialSeeds  int
 	Workers       int
-	ForceBatched  bool
 	UseCopyState  bool
 	NoPrefixCache bool
 	// World summarizes a multi-contract world ("member,member;attacker"),
@@ -133,7 +135,6 @@ func summarizeOptions(o fuzz.Options) OptionsSummary {
 		EnergyBase:    o.EnergyBase,
 		InitialSeeds:  o.InitialSeeds,
 		Workers:       o.Workers,
-		ForceBatched:  o.ForceBatched,
 		UseCopyState:  o.UseCopyState,
 		NoPrefixCache: o.NoPrefixCache,
 		World:         worldToken(o.World),
@@ -215,7 +216,7 @@ func hexOrDash(b []byte) string {
 	return hex.EncodeToString(b)
 }
 
-// Encode writes the transcript in the stable v1 text encoding. Encoding the
+// Encode writes the transcript in the stable text encoding. Encoding the
 // same transcript always produces the same bytes, so byte equality of two
 // encodings is the package's definition of "identical campaigns".
 func (t *Transcript) Encode(w io.Writer) error {
@@ -234,9 +235,9 @@ func (t *Transcript) Encode(w io.Writer) error {
 func encodeHeader(bw *bufio.Writer, version int, contract string, o OptionsSummary) {
 	fmt.Fprintf(bw, "%s v%d\n", magic, version)
 	fmt.Fprintf(bw, "contract %s\n", contract)
-	fmt.Fprintf(bw, "options strategy=%q seed=%d iters=%d maxseq=%d gas=%d energy=%d initseeds=%d workers=%d batched=%d copystate=%d nocache=%d",
+	fmt.Fprintf(bw, "options strategy=%q seed=%d iters=%d maxseq=%d gas=%d energy=%d initseeds=%d workers=%d copystate=%d nocache=%d",
 		o.Strategy, o.Seed, o.Iterations, o.MaxSeqLen, o.GasPerTx, o.EnergyBase,
-		o.InitialSeeds, o.Workers, boolBit(o.ForceBatched), boolBit(o.UseCopyState), boolBit(o.NoPrefixCache))
+		o.InitialSeeds, o.Workers, boolBit(o.UseCopyState), boolBit(o.NoPrefixCache))
 	if o.World != "" {
 		fmt.Fprintf(bw, " world=%q", o.World)
 	}
@@ -367,7 +368,7 @@ func parseHexOrDash(s string) ([]byte, error) {
 	return hex.DecodeString(s)
 }
 
-// Decode parses a transcript from its v1 text encoding.
+// Decode parses a transcript from its text encoding (Version only).
 func Decode(r io.Reader) (*Transcript, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
@@ -384,8 +385,11 @@ func Decode(r io.Reader) (*Transcript, error) {
 		return nil, decodeErr(line, "missing %s header", magic)
 	}
 	v, err := strconv.Atoi(strings.TrimPrefix(line, magic+" v"))
-	if err != nil || v != Version {
+	if err != nil {
 		return nil, decodeErr(line, "unsupported version")
+	}
+	if v != Version {
+		return nil, decodeErr(line, "transcript format v%d is not replayable by this build (it reads v%d)", v, Version)
 	}
 	t.Version = v
 
@@ -399,19 +403,17 @@ func Decode(r io.Reader) (*Transcript, error) {
 	if !ok || !strings.HasPrefix(line, "options ") {
 		return nil, decodeErr(line, "missing options line")
 	}
-	if _, err := fmt.Sscanf(line, "options strategy=%q seed=%d iters=%d maxseq=%d gas=%d energy=%d initseeds=%d workers=%d batched=%d copystate=%d nocache=%d",
+	if _, err := fmt.Sscanf(line, "options strategy=%q seed=%d iters=%d maxseq=%d gas=%d energy=%d initseeds=%d workers=%d copystate=%d nocache=%d",
 		&t.Options.Strategy, &t.Options.Seed, &t.Options.Iterations, &t.Options.MaxSeqLen,
 		&t.Options.GasPerTx, &t.Options.EnergyBase, &t.Options.InitialSeeds, &t.Options.Workers,
-		new(int), new(int), new(int)); err != nil {
+		new(int), new(int)); err != nil {
 		return nil, decodeErr(line, "bad options: %v", err)
 	}
-	// Sscanf cannot target bools through %d; re-extract the three flags and
+	// Sscanf cannot target bools through %d; re-extract the two flags and
 	// the optional trailing world token (member names carry no whitespace, so
 	// the quoted token is a single field).
 	for _, kv := range strings.Fields(line) {
 		switch {
-		case kv == "batched=1":
-			t.Options.ForceBatched = true
 		case kv == "copystate=1":
 			t.Options.UseCopyState = true
 		case kv == "nocache=1":

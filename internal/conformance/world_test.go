@@ -29,10 +29,9 @@ func loadFixtureTarget(t *testing.T, name string) fuzz.Target {
 	return tgt
 }
 
-// TestWorldTranscriptIdentity is the world analogue of the batched
-// differential class: the same world campaign — bank fixture, synthesized
-// attacker — recorded at Workers=1 under ForceBatched (world-w1) and at
-// Workers=4 (world-wN) must produce identical record streams and final
+// TestWorldTranscriptIdentity is the world analogue of the differential
+// class: the same world campaign — bank fixture, synthesized attacker —
+// recorded at Workers=1 (world-w1) and at Workers=4 (world-wN) must produce identical record streams and final
 // summaries, and both transcripts must survive independent sequence
 // verification. Multi-contract deployment, callee routing, and attacker
 // compilation all live on the executor; this pins that none of them leaks
@@ -43,16 +42,15 @@ func TestWorldTranscriptIdentity(t *testing.T) {
 	}
 	base := fuzz.Options{Strategy: fuzz.MuFuzz(), Seed: 2, Iterations: 1500}
 
-	record := func(name string, workers int, forceBatched bool) *Run {
+	record := func(name string, workers int) *Run {
 		tgt := loadFixtureTarget(t, "bank-reentrant")
 		o := base
 		o.Workers = workers
-		o.ForceBatched = forceBatched
 		o.World = &fuzz.WorldOptions{Attacker: world.NewModel(tgt.Methods())}
 		return RecordTargetCampaign(name, tgt, o)
 	}
-	w1 := record("world-w1", 1, true)
-	wN := record("world-wN", 4, false)
+	w1 := record("world-w1", 1)
+	wN := record("world-wN", 4)
 
 	if d := Diff(w1.Transcript, wN.Transcript); d != nil {
 		MinimizePoCs(d, w1, wN)

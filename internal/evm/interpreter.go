@@ -583,14 +583,32 @@ func (f *frame) memSlice(off, size uint64) ([]byte, error) {
 	return f.mem[off : off+size], nil
 }
 
+// memWords returns the first 32-byte-aligned word overlapping the memory
+// range [off, off+size) and the number of words the range spans. A zero-size
+// range spans no words at any offset, and a range running past 2^64 is
+// clamped at 2^64-1, so a caller stepping n words from first never wraps —
+// even for the clamped offsets u64 produces from absurd stack values.
+func memWords(off, size uint64) (first, n uint64) {
+	if size == 0 {
+		return 0, 0
+	}
+	last := off + size - 1
+	if last < off {
+		last = ^uint64(0)
+	}
+	first = off &^ 31
+	return first, (last-first)/32 + 1
+}
+
 // memTaintRange unions taint over [off, off+size) at word granularity.
 func (f *frame) memTaintRange(off, size uint64) Taint {
 	if !f.memTainted {
 		return 0
 	}
 	var t Taint
-	for o := off &^ 31; o < off+size; o += 32 {
-		t |= f.memTaint[o]
+	first, n := memWords(off, size)
+	for i := uint64(0); i < n; i++ {
+		t |= f.memTaint[first+32*i]
 	}
 	return t
 }
@@ -989,8 +1007,9 @@ func (f *frame) execute(op OpCode) (done bool, out []byte, err error) {
 				mem[i] = 0
 			}
 		}
-		for o := dst &^ 31; o < dst+sz; o += 32 {
-			f.orMemTaintWord(o, TaintInput)
+		first, n := memWords(dst, sz)
+		for i := uint64(0); i < n; i++ {
+			f.orMemTaintWord(first+32*i, TaintInput)
 		}
 		return false, nil, nil
 

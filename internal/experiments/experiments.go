@@ -51,16 +51,9 @@ func parallelism() int {
 // (the forEach pool runs one campaign per contract) and intra-campaign
 // parallelism (Options.Workers fans each energy round across executor
 // goroutines). When a dataset has fewer contracts than the machine has
-// cores, the leftover cores go to the engine; a dataset that saturates the
-// pool keeps the sequential (and exactly reproducible) per-campaign engine.
-//
-// Note the trade-off: because Workers > 1 selects the batched engine (a
-// different, though still seeded, mutation schedule), absolute experiment
-// numbers on underfilled machines depend on the core count. Comparisons
-// within one run stay fair — every fuzzer/variant gets the same worker
-// budget — which is the reproduction target (see cmd/benchtab's header);
-// for bit-identical numbers across machines, run datasets at least as large
-// as the core count or pin GOMAXPROCS=1.
+// cores, the leftover cores go to the engine. The worker count never changes
+// a campaign's results — the schedule is a pure function of the seed — so
+// experiment numbers are bit-identical across machines.
 func campaignWorkers(nCampaigns int) int {
 	pool := parallelism()
 	if pool > nCampaigns {
@@ -69,8 +62,7 @@ func campaignWorkers(nCampaigns int) int {
 	if pool < 1 {
 		pool = 1
 	}
-	// GOMAXPROCS(0), not NumCPU: it honors the documented GOMAXPROCS=1
-	// escape hatch for bit-identical cross-machine numbers.
+	// GOMAXPROCS(0), not NumCPU: a GOMAXPROCS cap also caps the fan-out.
 	w := runtime.GOMAXPROCS(0) / pool
 	if w < 1 {
 		w = 1

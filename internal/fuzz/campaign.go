@@ -4,8 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mufuzz/internal/abi"
@@ -36,26 +34,16 @@ type Options struct {
 	// InitialSeeds is the size of the initial corpus. Default 4.
 	InitialSeeds int
 	// Workers is the number of executor goroutines an energy round fans its
-	// batch of mutated children across. 0 or 1 selects the sequential
-	// engine, whose behavior is identical to the classic single-threaded
-	// campaign for a fixed Seed. Values > 1 enable batched execution:
-	// children are generated up front, executed in parallel (each worker
-	// owning its own EVM, state copy, trace buffer, and per-child seeded
-	// rand.Rand), and their feedback is merged on the coordinator in
-	// deterministic batch order — results are reproducible for a fixed
-	// (Seed, Workers) pair but differ from the sequential engine's. A
-	// negative value selects runtime.NumCPU().
+	// mutated children across. Workers=1 is a pool of one: the coordinator
+	// mutates and folds while the single worker executes. Children draw from
+	// per-child rngs seeded from the coordinator's, and outcomes fold in
+	// schedule order, so results are a pure function of Seed — identical at
+	// every worker count. 0 means 1; a negative value selects
+	// runtime.NumCPU().
 	Workers int
 	// NoPrefixCache disables the intermediate-state checkpoint optimization
 	// (paper §VI); used for ablation and equivalence testing.
 	NoPrefixCache bool
-	// ForceBatched runs the batched (coordinator/executor) engine even when
-	// Workers is 1. The batched schedule — per-child rng seeds drawn from the
-	// coordinator rng, outcomes folded in batch order — is a pure function of
-	// Seed and independent of the worker count, so ForceBatched at Workers=1
-	// produces byte-identical results to any Workers=N run of the same Seed.
-	// The conformance differential runner uses it to prove that equivalence.
-	ForceBatched bool
 	// UseCopyState makes the executors hand off world state with the deep
 	// State.Copy instead of the copy-on-write State.Fork at every handoff
 	// (genesis, checkpoint resume, checkpoint store). Copy is the semantic
@@ -67,13 +55,6 @@ type Options struct {
 	// byte-identical to the switch loop; running a whole campaign under NoIR
 	// is the conformance ablation that proves it end-to-end.
 	NoIR bool
-	// NoPipeline pins the batched engine to the legacy fork-join shape: spawn
-	// workers per round, wg.Wait(), then fold every slot serially. The default
-	// pipelined engine (persistent worker pool, streaming in-order fold,
-	// speculative line search) must be byte-identical to this barrier engine;
-	// running a whole campaign under NoPipeline is the conformance ablation
-	// that proves it end-to-end. Irrelevant when the sequential engine runs.
-	NoPipeline bool
 	// Observer, when non-nil, receives one ExecRecord per execution on the
 	// coordinator goroutine in deterministic fold order. Observing never
 	// changes campaign behavior; it is the conformance transcript hook.
@@ -159,10 +140,13 @@ type Campaign struct {
 	// executor, and oracle of the campaign runs against.
 	code []byte
 	opts Options
-	// rng is the coordinator's deterministic schedule source; rngSrc counts
-	// its draws so snapshots can capture and restore the rng state exactly.
+	// rng is the coordinator's deterministic schedule source; rngSrc is its
+	// generator, whose state snapshots capture and restore exactly. childRng
+	// is the one reusable rng every mutated child draws from, reseeded from
+	// the coordinator per child (no per-child allocation or seeding loop).
 	rng      *rand.Rand
-	rngSrc   *countedSource
+	rngSrc   *splitMix
+	childRng *rand.Rand
 	cfg      *analysis.CFG
 	detector *oracle.Detector
 	exec     *executor
@@ -188,14 +172,13 @@ type Campaign struct {
 	ctorOrder     []string
 	attackerModel AttackerModel
 	reConfirmed   bool
-	// workerExecs are the per-worker executors of the batched engine, built
+	// workerExecs are the per-worker executors of the round engine, built
 	// once and reused across rounds so each worker's EVM, attacker native,
 	// jumpdest cache, and trace buffer stay warm for the whole campaign.
 	workerExecs []*executor
-	// workerPool is the persistent goroutine pool of the pipelined engine,
-	// scoped to the running slice: started lazily by the first pipelined
-	// round, shut down when RunSlice returns so a parked campaign holds no
-	// goroutines.
+	// workerPool is the persistent goroutine pool of the round engine,
+	// scoped to the running slice: started lazily by the first round, shut
+	// down when RunSlice returns so a parked campaign holds no goroutines.
 	workerPool *workerPool
 
 	// identities
@@ -297,7 +280,7 @@ func NewCampaign(comp *minisol.Compiled, opts Options) *Campaign {
 // ABI (internal/ingest).
 func NewTargetCampaign(t Target, opts Options) *Campaign {
 	o := opts.withDefaults()
-	src := newCountedSource(o.Seed, 0)
+	src := &splitMix{state: uint64(o.Seed)}
 	code := t.Code()
 	c := &Campaign{
 		target:     t,
@@ -305,6 +288,7 @@ func NewTargetCampaign(t Target, opts Options) *Campaign {
 		opts:       o,
 		rng:        rand.New(src),
 		rngSrc:     src,
+		childRng:   rand.New(&splitMix{}),
 		cfg:        analysis.BuildCFG(code),
 		ctorName:   t.Constructor().Name,
 		depOrder:   t.DependencyOrder(),
@@ -871,19 +855,11 @@ func (c *Campaign) energyFor(seed *Seed) int {
 
 // --- Mutation of one seed ---
 
-// mutateSeed produces a child from the campaign rng (sequential engine).
-func (c *Campaign) mutateSeed(seed *Seed) *Seed {
-	child, seqMutated := c.mutateSeedRand(seed, c.rng)
-	c.sequencesMutated += seqMutated
-	return child
-}
-
 // mutateSeedRand produces a child: sequence-level mutation (sometimes) plus
 // input-level byte mutations filtered by the seed's masks. All randomness
-// comes from rng and all campaign state is only read, so workers can mutate
-// concurrently with per-child seeded rngs. The second return value counts
-// sequence-level mutations applied (merged into campaign stats by the
-// caller).
+// comes from rng and all campaign state is only read. The second return
+// value counts sequence-level mutations applied (merged into campaign stats
+// by the caller).
 func (c *Campaign) mutateSeedRand(seed *Seed, rng *rand.Rand) (*Seed, int) {
 	child := seed.Clone()
 	seqMutated := 0
@@ -1216,16 +1192,7 @@ func (c *Campaign) RunSlice(ctx context.Context, maxRounds int) (*Result, bool) 
 		}
 		seed := c.pickSeed(&c.qi)
 		c.ensureMasks(seed)
-		energy := c.energyFor(seed)
-		if c.opts.Workers > 1 || c.opts.ForceBatched {
-			if c.opts.NoPipeline {
-				c.fuzzRoundBarrier(seed, energy, &c.qi)
-			} else {
-				c.fuzzRoundPipelined(seed, energy, &c.qi)
-			}
-		} else {
-			c.fuzzRound(seed, energy, &c.qi)
-		}
+		c.fuzzRound(seed, c.energyFor(seed), &c.qi)
 		c.qi++
 	}
 
@@ -1348,92 +1315,8 @@ func (c *Campaign) SetObserver(obs ExecObserver) {
 	c.opts.Observer = obs
 }
 
-// fuzzRound spends one seed's energy on the sequential engine: mutate one
-// child, execute, fold, admit — the classic Algorithm 1 inner loop.
-func (c *Campaign) fuzzRound(seed *Seed, energy int, qi *int) {
-	for e := 0; e < energy && !c.budgetExhausted(); e++ {
-		child := c.mutateSeed(seed)
-		r := c.execute(child.Seq)
-		child, r = c.maybeLineSearch(child, r)
-		c.admit(child, r, qi)
-	}
-}
-
-// fuzzRoundBarrier spends one seed's energy as a fork-join batch: the
-// round's children are generated and executed across Options.Workers
-// goroutines, each worker owning its own executor (EVM, state copies, trace
-// buffer) and a per-child rand.Rand seeded from the coordinator rng; a
-// WaitGroup barrier joins them all before the coordinator merges outcomes in
-// batch order. This is the legacy batched engine, kept verbatim as the
-// Options.NoPipeline ablation — the reference the pipelined engine is proven
-// byte-identical against.
-func (c *Campaign) fuzzRoundBarrier(seed *Seed, energy int, qi *int) {
-	n := energy
-	if remaining := c.opts.Iterations - c.executions; n > remaining {
-		n = remaining
-	}
-	if n <= 0 {
-		return
-	}
-	// Per-child rng seeds drawn sequentially from the coordinator rng keep
-	// the whole batch a pure function of Options.Seed.
-	childSeeds := make([]int64, n)
-	for i := range childSeeds {
-		childSeeds[i] = c.rng.Int63()
-	}
-
-	type slot struct {
-		child      *Seed
-		out        execOutcome
-		seqMutated int
-	}
-	slots := make([]slot, n)
-	workers := c.opts.Workers
-	if workers > n {
-		workers = n
-	}
-	c.pendingExecs = n
-
-	for len(c.workerExecs) < workers {
-		c.workerExecs = append(c.workerExecs, c.exec.clone())
-	}
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		x := c.workerExecs[w]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				rng := rand.New(rand.NewSource(childSeeds[i]))
-				child, seqMutated := c.mutateSeedRand(seed, rng)
-				out := x.run(child.Seq)
-				slots[i] = slot{child: child, out: out, seqMutated: seqMutated}
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Deterministic batch-order merge on the coordinator. Every dispatched
-	// execution counts, so all slots fold even if the time budget expired
-	// mid-batch.
-	for i := range slots {
-		c.pendingExecs--
-		c.executions++
-		c.sequencesMutated += slots[i].seqMutated
-		r := c.foldOutcome(slots[i].child.Seq, &slots[i].out)
-		child, r := c.maybeLineSearch(slots[i].child, r)
-		c.admit(child, r, qi)
-	}
-}
-
-// ensureWorkerPool lazily starts the pipelined engine's persistent pool over
-// the campaign's warmed worker executors.
+// ensureWorkerPool lazily starts the slice's persistent pool over the
+// campaign's warmed worker executors.
 func (c *Campaign) ensureWorkerPool() *workerPool {
 	if c.workerPool != nil {
 		return c.workerPool
@@ -1453,21 +1336,22 @@ func (c *Campaign) stopWorkerPool() {
 	}
 }
 
-// fuzzRoundPipelined spends one seed's energy through the persistent worker
-// pool with a streaming in-order fold: the coordinator mutates every child of
-// the round up front, keeps the bounded job queue fed, and folds slot i the
-// moment it completes — coverage merge, admission, and the line search for
-// early slots overlap the execution of later ones, and nothing joins on a
-// barrier.
+// fuzzRound spends one seed's energy — the Algorithm 1 inner loop — through
+// the persistent worker pool with a streaming in-order fold: the coordinator
+// mutates every child of the round up front, keeps the bounded job queue
+// fed, and folds slot i the moment it completes. Coverage merge, admission,
+// and the line search for early slots overlap the execution of later ones,
+// and nothing joins on a barrier; at Workers=1 the coordinator's fold
+// overlaps the single worker's execution.
 //
-// The schedule is byte-identical to fuzzRoundBarrier's. Per-child rng seeds
-// come from the same coordinator draws; children are a pure function of the
-// round-start feedback state (mutation happens before any fold of this round
-// touches the value pool, masks, or distance frontier — exactly the state
-// the barrier engine's workers read); executors are pure; and the reorder
-// buffer releases outcomes in batch order, so every fold sees the state the
-// serial merge would have produced.
-func (c *Campaign) fuzzRoundPipelined(seed *Seed, energy int, qi *int) {
+// The schedule is a pure function of Options.Seed, independent of the worker
+// count. Each child draws from the reusable child rng reseeded with one
+// coordinator draw; children are a pure function of the round-start feedback
+// state (mutation happens before any fold of this round touches the value
+// pool, masks, or distance frontier); executors are pure; and the reorder
+// buffer releases outcomes in schedule order, so every fold sees the state
+// a serial merge would have produced.
+func (c *Campaign) fuzzRound(seed *Seed, energy int, qi *int) {
 	n := energy
 	if remaining := c.opts.Iterations - c.executions; n > remaining {
 		n = remaining
@@ -1475,15 +1359,11 @@ func (c *Campaign) fuzzRoundPipelined(seed *Seed, energy int, qi *int) {
 	if n <= 0 {
 		return
 	}
-	childSeeds := make([]int64, n)
-	for i := range childSeeds {
-		childSeeds[i] = c.rng.Int63()
-	}
 	children := make([]*Seed, n)
 	muts := make([]int, n)
 	for i := 0; i < n; i++ {
-		rng := rand.New(rand.NewSource(childSeeds[i]))
-		children[i], muts[i] = c.mutateSeedRand(seed, rng)
+		c.childRng.Seed(c.rng.Int63())
+		children[i], muts[i] = c.mutateSeedRand(seed, c.childRng)
 	}
 
 	p := c.ensureWorkerPool()
@@ -1507,9 +1387,8 @@ func (c *Campaign) fuzzRoundPipelined(seed *Seed, energy int, qi *int) {
 			i := <-done
 			ready[i] = true
 		}
-		// Reorder buffer: release every contiguous completed slot in batch
-		// order. Counter updates, fold, line search, and admission mirror the
-		// barrier engine's serial merge statement for statement.
+		// Reorder buffer: release every contiguous completed slot in
+		// schedule order: counters, fold, line search, then admission.
 		for next < n && ready[next] {
 			i := next
 			next++
@@ -1519,25 +1398,27 @@ func (c *Campaign) fuzzRoundPipelined(seed *Seed, energy int, qi *int) {
 			r := c.foldOutcome(children[i].Seq, &outs[i])
 			child := children[i]
 			if c.opts.Strategy.BranchDistance && r.distImproved && r.newEdges == 0 && child.lastNudge != nil {
-				child, r = c.lineSearchSpec(p, child, r)
+				child, r = c.lineSearch(p, child, r)
 			}
 			c.admit(child, r, qi)
 		}
 	}
 }
 
-// lineSearchSpec is the pipelined engine's batched line search. The scalar
-// lineSearch is inherently sequential — each step's verdict gates the next —
-// but step k+1's CANDIDATE is not: the nudge never changes, so the sequence
-// at step k is just the previous step's with the nudge applied once more,
-// computable without feedback. The search therefore speculates: build a
-// window of successive candidates, execute them across the pool in parallel,
-// fold verdicts in step order, and discard everything past the first
-// non-improving step. Discarded executions touched only worker-local state
-// and the (transparent) checkpoint cache — they never count toward the
-// budget and never fold, so the decision sequence, every counter, and every
-// transcript byte match the scalar search exactly.
-func (c *Campaign) lineSearchSpec(p *workerPool, child *Seed, r execResult) (*Seed, execResult) {
+// lineSearch repeats a child's last arithmetic nudge while branch distance
+// keeps improving, returning the furthest point reached (or the first point
+// that discovers new edges) — the hill-climbing descent that cracks
+// derived-value guards (b*7 == 9163 style) in O(distance/step) executions.
+// Each step's verdict gates the next, but step k+1's CANDIDATE does not
+// depend on feedback: the nudge never changes, so the sequence at step k is
+// the previous step's with the nudge applied once more. The search therefore
+// speculates: build a window of successive candidates as wide as the pool,
+// execute them in parallel, fold verdicts in step order, and discard
+// everything past the first non-improving step. Discarded executions touched
+// only worker-local state and the (transparent) checkpoint cache — they never
+// count toward the budget and never fold, so the decision sequence is the
+// same at every pool width.
+func (c *Campaign) lineSearch(p *workerPool, child *Seed, r execResult) (*Seed, execResult) {
 	const maxSteps = 64
 	best, bestRes := child, r
 	c.lineSearches++
@@ -1567,7 +1448,7 @@ func (c *Campaign) lineSearchSpec(p *workerPool, child *Seed, r execResult) (*Se
 			prev = next
 		}
 		if len(specs) == 0 {
-			// Mirrors the scalar engine's empty-stream step: counted, no run.
+			// An empty stream ends the search: the step counts, nothing runs.
 			c.lineSteps++
 			return best, bestRes
 		}
@@ -1579,7 +1460,7 @@ func (c *Campaign) lineSearchSpec(p *workerPool, child *Seed, r execResult) (*Se
 		}
 		for k := 0; k < len(specs); k++ {
 			if k > 0 && c.budgetExhausted() {
-				// Budget expired mid-window: the scalar engine would not have
+				// Budget expired mid-window: a one-step window would not have
 				// started this step. The window's tail stays unfolded and
 				// uncounted; its completions land in the buffered done
 				// channel, so no worker ever blocks on an abandoned batch.
@@ -1604,17 +1485,6 @@ func (c *Campaign) lineSearchSpec(p *workerPool, child *Seed, r execResult) (*Se
 	return best, bestRes
 }
 
-// maybeLineSearch runs the greedy line search when a child's arithmetic
-// nudge improved some branch distance without new coverage — the
-// hill-climbing descent that cracks derived-value guards (b*7 == 9163
-// style) in O(distance/step) executions.
-func (c *Campaign) maybeLineSearch(child *Seed, r execResult) (*Seed, execResult) {
-	if c.opts.Strategy.BranchDistance && r.distImproved && r.newEdges == 0 && child.lastNudge != nil {
-		return c.lineSearch(child, r)
-	}
-	return child, r
-}
-
 // admit applies queue admission to one executed child: children that found
 // new edges or improved a branch distance join the seed queue.
 func (c *Campaign) admit(child *Seed, r execResult, qi *int) {
@@ -1635,37 +1505,6 @@ func (c *Campaign) admit(child *Seed, r execResult, qi *int) {
 			*qi = 0
 		}
 	}
-}
-
-// lineSearch repeats a seed's last nudge while branch distance keeps
-// improving, returning the furthest point reached (or the first point that
-// discovers new edges). Sequential by nature: each step depends on the
-// previous one's feedback.
-func (c *Campaign) lineSearch(child *Seed, r execResult) (*Seed, execResult) {
-	const maxSteps = 64
-	best, bestRes := child, r
-	c.lineSearches++
-	for step := 0; step < maxSteps && !c.budgetExhausted(); step++ {
-		c.lineSteps++
-		n := best.lastNudge
-		next := best.Clone()
-		next.lastNudge = n
-		tx := &next.Seq[n.txIdx%len(next.Seq)]
-		stream := tx.Stream()
-		if len(stream) == 0 {
-			break
-		}
-		tx.SetStream(nudgeWordAt(stream, n.pos%len(stream), n.delta))
-		res := c.execute(next.Seq)
-		if res.newEdges > 0 {
-			return next, res
-		}
-		if !res.distImproved {
-			break
-		}
-		best, bestRes = next, res
-	}
-	return best, bestRes
 }
 
 // pickSeed selects the next seed to fuzz. With dynamic energy, seeds whose

@@ -28,7 +28,7 @@ type txReport struct {
 // execOutcome is the pure result of executing one sequence: branch events,
 // nesting depth, and per-transaction oracle reports. It carries no campaign
 // state and is produced without mutating any — the executor/coordinator
-// contract that makes batched parallel execution safe.
+// contract that makes parallel execution safe.
 type execOutcome struct {
 	// branchesByTx holds the contract's branch events, one batch per
 	// transaction, covering the whole sequence: checkpoint-replayed prefix
@@ -81,11 +81,6 @@ type executor struct {
 	// prefixes is the shared sharded checkpoint cache; nil disables the
 	// intermediate-state optimization (ablation / replay).
 	prefixes *prefixCache
-	// view is the executor's private read affinity over prefixes: the shard
-	// snapshots, revalidated once per execution against the cache epoch. All
-	// hot-path cache probes (resume lookup, store-policy scan) go through it
-	// as plain worker-local map reads instead of shared atomic loads.
-	view prefixView
 	// branchIx interns the contract's branch edges; installed on every EVM so
 	// trace events carry compact edge IDs. depthByEdge is the per-edge
 	// branch-site nesting depth (shared, read-only).
@@ -144,7 +139,6 @@ func (x *executor) clone() *executor {
 	nx.scratch = nil
 	nx.hashBuf = nil
 	nx.brArena = nil
-	nx.view = prefixView{}
 	return &nx
 }
 
@@ -160,7 +154,6 @@ func (x *executor) detached() *executor {
 	nx.hashBuf = nil
 	nx.brArena = nil
 	nx.prefixes = nil
-	nx.view = prefixView{}
 	return &nx
 }
 
@@ -320,13 +313,14 @@ func (x *executor) run(seq Sequence) execOutcome {
 	// One pass computes every proper-prefix key; the resume lookup and the
 	// store-policy scan below both index into it.
 	var hashes []uint64
+	var view prefixView
 	if x.prefixes != nil {
 		hashes = prefixHashes(seq, x.hashBuf)
 		x.hashBuf = hashes
-		x.view.refresh(x.prefixes)
+		view.load(x.prefixes)
 	}
 
-	if entry := x.view.lookupHashed(hashes); entry != nil {
+	if entry := view.lookupHashed(hashes); entry != nil {
 		st = x.workState(entry.st)
 		e = x.engine(st)
 		e.RestoreTaint(entry.taint)
@@ -352,7 +346,7 @@ func (x *executor) run(seq Sequence) execOutcome {
 	bestStore := -1
 	if x.prefixes != nil {
 		for i := len(seq) - 2; i >= start; i-- {
-			if !x.view.contains(hashes[i]) {
+			if !view.contains(hashes[i]) {
 				bestStore = i
 				break
 			}

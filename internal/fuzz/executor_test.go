@@ -61,9 +61,9 @@ func TestExecutorTraceReuse(t *testing.T) {
 	}
 }
 
-// TestParallelCampaignDeterministic pins the batched engine's determinism:
-// for a fixed (Seed, Workers) pair the merge order makes results independent
-// of goroutine scheduling.
+// TestParallelCampaignDeterministic pins the engine's determinism at four
+// workers: the merge order makes results independent of goroutine
+// scheduling.
 func TestParallelCampaignDeterministic(t *testing.T) {
 	comp := mustCompile(t, crowdsaleSrc)
 	opts := Options{Strategy: MuFuzz(), Seed: 11, Iterations: 600, Workers: 4}
@@ -93,7 +93,7 @@ func TestParallelCampaignRespectsBudget(t *testing.T) {
 	}
 }
 
-// TestParallelCampaignQuality checks the batched engine is the same fuzzer:
+// TestParallelCampaignQuality checks the 4-worker engine is the same fuzzer:
 // it still cracks the Crowdsale deep branch and reports sane coverage.
 func TestParallelCampaignQuality(t *testing.T) {
 	comp := mustCompile(t, crowdsaleSrc)
@@ -107,7 +107,7 @@ func TestParallelCampaignQuality(t *testing.T) {
 	}
 }
 
-// TestParallelFindsReentrancy runs the batched engine over the reentrancy
+// TestParallelFindsReentrancy runs the 4-worker engine over the reentrancy
 // vault: detector splitting (worker-side Inspect, coordinator-side Absorb)
 // must preserve bug detection.
 func TestParallelFindsReentrancy(t *testing.T) {

@@ -80,9 +80,9 @@ func runGolden(t *testing.T, source string, seed int64, iters int) string {
 
 // TestGoldenCmpFeedbackOffLegacy pins the flag-off path: with CmpFeedback and
 // MinedDictionary disabled (the "w/o comparison feedback" ablation) the
-// campaign must reproduce, draw for draw, the fingerprints the engine produced
-// before those features existed — only the strategy name differs. This is the
-// guarantee that the feedback extension is purely additive.
+// campaign must reproduce, draw for draw, its pinned fingerprints — only the
+// strategy name differs from the default's format. This is the guarantee
+// that the feedback extension stays purely additive.
 func TestGoldenCmpFeedbackOffLegacy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden campaigns are slow")
@@ -107,17 +107,16 @@ func TestGoldenCmpFeedbackOffLegacy(t *testing.T) {
 			want := strings.Replace(goldenLegacyFingerprints[gc.name],
 				"strategy=MuFuzz ", "strategy="+off.Name+" ", 1)
 			if got != want {
-				t.Errorf("flag-off campaign diverged from the pre-feature engine\n--- want\n%s\n--- got\n%s", want, got)
+				t.Errorf("flag-off campaign diverged from its pinned schedule\n--- want\n%s\n--- got\n%s", want, got)
 			}
 		})
 	}
 }
 
-// TestGoldenWorkers1Equivalence pins the sequential engine's observable
-// behavior: for a fixed seed the campaign must make exactly the decisions the
-// pre-refactor deep-copy engine made (coverage, findings, timeline, PoCs, all
-// counters). Regenerate goldens with MUFUZZ_GOLDEN_REGEN=1 after an
-// intentional behavior change.
+// TestGoldenWorkers1Equivalence pins the engine's observable behavior at
+// Workers=1: for a fixed seed the campaign must make exactly the pinned
+// decisions (coverage, findings, timeline, PoCs, all counters). Regenerate
+// goldens with MUFUZZ_GOLDEN_REGEN=1 after an intentional behavior change.
 func TestGoldenWorkers1Equivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden campaigns are slow")
@@ -132,7 +131,7 @@ func TestGoldenWorkers1Equivalence(t *testing.T) {
 				return
 			}
 			if got != want {
-				t.Errorf("campaign diverged from pre-refactor engine\n--- want\n%s\n--- got\n%s", want, got)
+				t.Errorf("campaign diverged from the pinned schedule\n--- want\n%s\n--- got\n%s", want, got)
 			}
 		})
 	}

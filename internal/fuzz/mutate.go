@@ -87,7 +87,7 @@ func (m *Mask) Len() int { return len(m.allowed) }
 // bytes per draw. Unlike rand.Rand.Read it leaves no buffered state inside
 // the Rand, so a Rand used only through fillBytes and the arithmetic methods
 // is fully described by its source — the property campaign snapshots rely on
-// (see countedSource).
+// (see splitMix).
 func fillBytes(rng *rand.Rand, p []byte) {
 	for i := 0; i < len(p); i += 7 {
 		v := rng.Int63()

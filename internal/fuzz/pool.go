@@ -2,10 +2,8 @@ package fuzz
 
 import "sync"
 
-// workerPool is the persistent executor pool of the pipelined batched engine.
-// The barrier engine it replaces spawned fresh goroutines per energy round and
-// joined them with a WaitGroup before folding anything; the pool keeps one
-// goroutine pinned to each warmed-up executor for the whole campaign, fed
+// workerPool is the persistent executor pool of the round engine. It keeps
+// one goroutine pinned to each warmed-up executor for the whole slice, fed
 // through a bounded job queue, so rounds pay no spawn/teardown cost and the
 // coordinator overlaps folding with execution.
 //

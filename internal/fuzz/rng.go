@@ -1,48 +1,26 @@
 package fuzz
 
-import "math/rand"
-
-// countedSource wraps the standard math/rand source with a draw counter,
-// making the coordinator rng serializable: its state is exactly the pair
-// (Seed, draws), and a resumed campaign rebuilds it by re-seeding and
-// discarding draws values. Campaign snapshots depend on the counter being a
-// complete capture of the rng, which holds because the coordinator only uses
-// rand.Rand methods that consume source draws without buffering inside the
-// Rand (Int63/Intn/Shuffle and fillBytes; never rand.Rand.Read).
+// splitMix is the engine's one random-number generator: SplitMix64, a
+// counter-based rand.Source64 whose whole state is a single uint64. The
+// coordinator draws its schedule from one, and every mutated child draws from
+// a reusable one reseeded with a coordinator draw, so a child's stream is a
+// pure function of the campaign seed and its position in the schedule.
 //
-// The wrapper implements rand.Source64, so rand.New takes the same internal
-// path it takes for the bare rand.NewSource value and the generated stream is
-// unchanged — golden fingerprints recorded against the unwrapped source stay
-// valid.
-type countedSource struct {
-	src   rand.Source64
-	draws uint64
+// The state is a complete capture of the generator as long as the engine
+// only uses rand.Rand methods that consume source draws without buffering
+// inside the Rand (Int63/Intn/Uint64/Shuffle and fillBytes; never
+// rand.Rand.Read). Campaign snapshots store it verbatim, so resuming costs
+// O(1) no matter how old the campaign is.
+type splitMix struct{ state uint64 }
+
+func (s *splitMix) Uint64() uint64 {
+	s.state += 0x9e3779b97f4a7c15
+	z := s.state
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
-// newCountedSource builds a source seeded with seed and fast-forwarded by
-// draws values — the resume path. A fresh campaign passes draws=0.
-func newCountedSource(seed int64, draws uint64) *countedSource {
-	src := rand.NewSource(seed).(rand.Source64)
-	for i := uint64(0); i < draws; i++ {
-		// Int63 and Uint64 both advance the underlying generator by exactly
-		// one step, so discarding through either replays the same stream.
-		src.Uint64()
-	}
-	return &countedSource{src: src, draws: draws}
-}
+func (s *splitMix) Int63() int64 { return int64(s.Uint64() >> 1) }
 
-func (s *countedSource) Int63() int64 {
-	s.draws++
-	return s.src.Int63()
-}
-
-func (s *countedSource) Uint64() uint64 {
-	s.draws++
-	return s.src.Uint64()
-}
-
-// Seed is required by rand.Source but would invalidate the draw counter;
-// the engine never reseeds mid-campaign.
-func (s *countedSource) Seed(int64) {
-	panic("fuzz: countedSource cannot be reseeded")
-}
+func (s *splitMix) Seed(seed int64) { s.state = uint64(seed) }

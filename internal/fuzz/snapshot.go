@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,20 +20,16 @@ import (
 	"mufuzz/internal/u256"
 )
 
-// SnapshotVersion is the snapshot format version this package writes.
-// Decoding accepts any version up to it: v1 snapshots (no comparison-feedback
-// strategy flags, no operand-table records) load with those features off —
-// exactly the semantics the campaign that wrote them had. Versions beyond it
-// come from newer builds and are rejected rather than misparsed.
+// SnapshotVersion is the snapshot format version this package writes and
+// the only one it reads. Older versions are rejected: their rng line is a
+// draw count of a generator this build no longer has, so a campaign resumed
+// from one could not continue its stream. Newer versions come from newer
+// builds and are rejected rather than misparsed.
 //
-// v2: strategy line gained cmpfeed=/dict= fields; cmpop records serialize the
-// per-uncovered-edge comparison operand tables.
-//
-// v3: multi-contract worlds. Tx lines grow optional callee/attacker fields
-// (emitted only when set — single-contract sequences keep the 5-field form),
-// world/worldmember records pin the campaign's member set and attacker mode,
-// and the detector line carries the witnessed value-out aggregate.
-const SnapshotVersion = 3
+// v4: one generator. The progress line's rngstate= is the coordinator
+// generator's state (v3 and earlier stored rngdraws=, a draw count replayed
+// on resume), and the options line no longer carries batched=.
+const SnapshotVersion = 4
 
 // snapshotMagic is the first token of every encoded snapshot.
 const snapshotMagic = "mufuzz-snapshot"
@@ -46,7 +41,7 @@ const snapshotMagic = "mufuzz-snapshot"
 // snapshot (ResumeCampaign) continues byte-identically to one that was never
 // paused: snapshots are taken at slice boundaries, which are deterministic
 // points of the schedule, and everything the engine reads thereafter is
-// restored — including the exact rng stream position (see countedSource).
+// restored — including the exact rng state (see splitMix).
 //
 // Executor-side state is deliberately absent: worker EVMs, jumpdest caches,
 // and the prefix checkpoint cache are rebuilt warm-up state whose presence
@@ -60,8 +55,8 @@ type Snapshot struct {
 	// Options is the normalized configuration (Observer excluded — runtime
 	// wiring, reinstalled by the resuming caller).
 	Options Options
-	// RngDraws is the coordinator rng's source position.
-	RngDraws uint64
+	// RngState is the coordinator rng's generator state.
+	RngState uint64
 
 	Executions       int
 	QI               int
@@ -182,7 +177,7 @@ func (c *Campaign) Snapshot() *Snapshot {
 		Contract:         c.target.Name(),
 		CodeHash:         keccak.Sum256(c.code),
 		Options:          c.opts,
-		RngDraws:         c.rngSrc.draws,
+		RngState:         c.rngSrc.state,
 		Executions:       c.executions,
 		QI:               c.qi,
 		CorpusSeeded:     c.corpusSeeded,
@@ -320,8 +315,7 @@ func resumeTarget(t Target, w *WorldOptions, s *Snapshot) (*Campaign, error) {
 	opts.World = w
 	c := NewTargetCampaign(t, opts)
 
-	c.rngSrc = newCountedSource(opts.Seed, s.RngDraws)
-	c.rng = rand.New(c.rngSrc)
+	c.rngSrc.state = s.RngState
 
 	c.executions = s.Executions
 	c.qi = s.QI
@@ -408,11 +402,11 @@ func (s *Snapshot) Encode(w io.Writer) error {
 		boolBit01(st.BranchDistance), boolBit01(st.MutationMasking), boolBit01(st.DynamicEnergy),
 		boolBit01(st.CmpFeedback), boolBit01(st.MinedDictionary))
 	o := s.Options
-	fmt.Fprintf(bw, "options seed=%d iters=%d maxseq=%d gas=%d energybase=%d initseeds=%d workers=%d batched=%d copystate=%d nocache=%d timebudgetns=%d\n",
+	fmt.Fprintf(bw, "options seed=%d iters=%d maxseq=%d gas=%d energybase=%d initseeds=%d workers=%d copystate=%d nocache=%d timebudgetns=%d\n",
 		o.Seed, o.Iterations, o.MaxSeqLen, o.GasPerTx, o.EnergyBase, o.InitialSeeds, o.Workers,
-		boolBit01(o.ForceBatched), boolBit01(o.UseCopyState), boolBit01(o.NoPrefixCache), int64(o.TimeBudget))
-	fmt.Fprintf(bw, "progress execs=%d qi=%d corpus=%d rngdraws=%d lastnew=%d maskprobes=%d maskscomputed=%d seqmut=%d linesearches=%d linesteps=%d elapsedns=%d\n",
-		s.Executions, s.QI, s.CorpusSeeded, s.RngDraws, s.LastNewEdgeExec, s.MaskProbes,
+		boolBit01(o.UseCopyState), boolBit01(o.NoPrefixCache), int64(o.TimeBudget))
+	fmt.Fprintf(bw, "progress execs=%d qi=%d corpus=%d rngstate=%d lastnew=%d maskprobes=%d maskscomputed=%d seqmut=%d linesearches=%d linesteps=%d elapsedns=%d\n",
+		s.Executions, s.QI, s.CorpusSeeded, s.RngState, s.LastNewEdgeExec, s.MaskProbes,
 		s.MasksComputed, s.SequencesMutated, s.LineSearches, s.LineSteps, int64(s.Elapsed))
 	if s.Attacker || len(s.WorldMembers) > 0 {
 		fmt.Fprintf(bw, "world attacker=%d reconfirmed=%d\n", boolBit01(s.Attacker), boolBit01(s.REConfirmed))
@@ -564,11 +558,9 @@ func snapErr(line, format string, args ...any) error {
 	return fmt.Errorf("fuzz: decode snapshot %q: %s", line, fmt.Sprintf(format, args...))
 }
 
-// DecodeSnapshot parses a snapshot from its text encoding. Every format
-// version up to SnapshotVersion is accepted (older versions decode with the
-// later-added fields at their zero values — the semantics the writing build
-// had); newer versions are rejected with an explicit error instead of
-// misparsing fields whose layout this build does not know.
+// DecodeSnapshot parses a snapshot from its text encoding. Only
+// SnapshotVersion is accepted; any other version is rejected with an error
+// naming it (see SnapshotVersion for why older streams cannot resume).
 func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
@@ -589,7 +581,10 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, snapErr(line, "unsupported version")
 	}
 	if v > SnapshotVersion {
-		return nil, snapErr(line, "format v%d was produced by a newer mufuzz (this build reads up to v%d)", v, SnapshotVersion)
+		return nil, snapErr(line, "format v%d was produced by a newer mufuzz (this build reads v%d)", v, SnapshotVersion)
+	}
+	if v < SnapshotVersion {
+		return nil, snapErr(line, "format v%d stores an rng this build no longer has; its campaign cannot resume (this build reads v%d)", v, SnapshotVersion)
 	}
 
 	line, ok = readLine()
@@ -613,18 +608,9 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, snapErr(line, "missing strategy line")
 	}
 	var sb [8]int
-	if v >= 2 {
-		if _, err := fmt.Sscanf(line, "strategy name=%q dataflow=%d raw=%d prolong=%d dist=%d mask=%d energy=%d cmpfeed=%d dict=%d",
-			&s.Options.Strategy.Name, &sb[0], &sb[1], &sb[2], &sb[3], &sb[4], &sb[5], &sb[6], &sb[7]); err != nil {
-			return nil, snapErr(line, "bad strategy: %v", err)
-		}
-	} else {
-		// v1: the comparison-feedback flags postdate the format; a campaign
-		// snapshotted then ran without them, so they stay off on resume.
-		if _, err := fmt.Sscanf(line, "strategy name=%q dataflow=%d raw=%d prolong=%d dist=%d mask=%d energy=%d",
-			&s.Options.Strategy.Name, &sb[0], &sb[1], &sb[2], &sb[3], &sb[4], &sb[5]); err != nil {
-			return nil, snapErr(line, "bad strategy: %v", err)
-		}
+	if _, err := fmt.Sscanf(line, "strategy name=%q dataflow=%d raw=%d prolong=%d dist=%d mask=%d energy=%d cmpfeed=%d dict=%d",
+		&s.Options.Strategy.Name, &sb[0], &sb[1], &sb[2], &sb[3], &sb[4], &sb[5], &sb[6], &sb[7]); err != nil {
+		return nil, snapErr(line, "bad strategy: %v", err)
 	}
 	s.Options.Strategy.DataflowSequences = sb[0] == 1
 	s.Options.Strategy.RAWRepetition = sb[1] == 1
@@ -639,17 +625,16 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	if !ok || !strings.HasPrefix(line, "options ") {
 		return nil, snapErr(line, "missing options line")
 	}
-	var ob [3]int
+	var ob [2]int
 	var tbNS int64
-	if _, err := fmt.Sscanf(line, "options seed=%d iters=%d maxseq=%d gas=%d energybase=%d initseeds=%d workers=%d batched=%d copystate=%d nocache=%d timebudgetns=%d",
+	if _, err := fmt.Sscanf(line, "options seed=%d iters=%d maxseq=%d gas=%d energybase=%d initseeds=%d workers=%d copystate=%d nocache=%d timebudgetns=%d",
 		&s.Options.Seed, &s.Options.Iterations, &s.Options.MaxSeqLen, &s.Options.GasPerTx,
 		&s.Options.EnergyBase, &s.Options.InitialSeeds, &s.Options.Workers,
-		&ob[0], &ob[1], &ob[2], &tbNS); err != nil {
+		&ob[0], &ob[1], &tbNS); err != nil {
 		return nil, snapErr(line, "bad options: %v", err)
 	}
-	s.Options.ForceBatched = ob[0] == 1
-	s.Options.UseCopyState = ob[1] == 1
-	s.Options.NoPrefixCache = ob[2] == 1
+	s.Options.UseCopyState = ob[0] == 1
+	s.Options.NoPrefixCache = ob[1] == 1
 	s.Options.TimeBudget = time.Duration(tbNS)
 
 	line, ok = readLine()
@@ -657,8 +642,8 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, snapErr(line, "missing progress line")
 	}
 	var elapsedNS int64
-	if _, err := fmt.Sscanf(line, "progress execs=%d qi=%d corpus=%d rngdraws=%d lastnew=%d maskprobes=%d maskscomputed=%d seqmut=%d linesearches=%d linesteps=%d elapsedns=%d",
-		&s.Executions, &s.QI, &s.CorpusSeeded, &s.RngDraws, &s.LastNewEdgeExec, &s.MaskProbes,
+	if _, err := fmt.Sscanf(line, "progress execs=%d qi=%d corpus=%d rngstate=%d lastnew=%d maskprobes=%d maskscomputed=%d seqmut=%d linesearches=%d linesteps=%d elapsedns=%d",
+		&s.Executions, &s.QI, &s.CorpusSeeded, &s.RngState, &s.LastNewEdgeExec, &s.MaskProbes,
 		&s.MasksComputed, &s.SequencesMutated, &s.LineSearches, &s.LineSteps, &elapsedNS); err != nil {
 		return nil, snapErr(line, "bad progress: %v", err)
 	}
@@ -893,11 +878,7 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 			s.WorldMembers = append(s.WorldMembers, pin)
 		case "detector":
 			var rv, vo int
-			if v >= 3 {
-				if _, err := fmt.Sscanf(line, "detector received=%d valueout=%d", &rv, &vo); err != nil {
-					return nil, snapErr(line, "bad detector: %v", err)
-				}
-			} else if _, err := fmt.Sscanf(line, "detector received=%d", &rv); err != nil {
+			if _, err := fmt.Sscanf(line, "detector received=%d valueout=%d", &rv, &vo); err != nil {
 				return nil, snapErr(line, "bad detector: %v", err)
 			}
 			s.ReceivedValue = rv == 1

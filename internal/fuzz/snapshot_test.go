@@ -3,6 +3,7 @@ package fuzz
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -126,10 +127,12 @@ func TestSnapshotResumeAcrossManySlices(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsNewerVersion pins forward compatibility: a snapshot
-// whose header claims a version this build does not know must be rejected
-// with an error that tells the operator to upgrade — not silently
-// misparsed as whatever the current decoder expects.
+// TestSnapshotRejectsNewerVersion pins the version gate in both directions:
+// a header claiming a newer version must be rejected with an error that
+// tells the operator to upgrade, and v1–v3 snapshots — whose rng line is a
+// draw count of a generator this build no longer has — must be rejected
+// with an error naming their version, never misparsed or resumed onto a
+// different stream.
 func TestSnapshotRejectsNewerVersion(t *testing.T) {
 	comp := compileT(t, corpus.Crowdsale())
 	c := NewCampaign(comp, Options{Strategy: MuFuzz(), Seed: 1, Iterations: 200, Workers: 1})
@@ -137,61 +140,67 @@ func TestSnapshotRejectsNewerVersion(t *testing.T) {
 		t.Fatal("campaign finished before the pause point")
 	}
 	enc := c.Snapshot().EncodeBytes()
-	future := bytes.Replace(enc, []byte(" v3\n"), []byte(" v4\n"), 1)
-	if bytes.Equal(future, enc) {
-		t.Fatal("header rewrite did not take; encoder format changed?")
+	cur := []byte(fmt.Sprintf(" v%d\n", SnapshotVersion))
+	if !bytes.Contains(enc, cur) {
+		t.Fatal("encoder did not write the current version header")
 	}
-	_, err := DecodeSnapshot(bytes.NewReader(future))
-	if err == nil {
-		t.Fatal("v4 snapshot decoded without error")
-	}
-	if !strings.Contains(err.Error(), "newer mufuzz") {
-		t.Fatalf("v4 rejection should name the cause, got: %v", err)
+	for _, tc := range []struct {
+		version int
+		cause   string
+	}{
+		{SnapshotVersion + 1, "newer mufuzz"},
+		{3, "format v3 stores an rng"},
+		{2, "format v2 stores an rng"},
+		{1, "format v1 stores an rng"},
+	} {
+		hdr := []byte(fmt.Sprintf(" v%d\n", tc.version))
+		_, err := DecodeSnapshot(bytes.NewReader(bytes.Replace(enc, cur, hdr, 1)))
+		if err == nil {
+			t.Fatalf("v%d snapshot decoded without error", tc.version)
+		}
+		if !strings.Contains(err.Error(), tc.cause) {
+			t.Fatalf("v%d rejection should say %q, got: %v", tc.version, tc.cause, err)
+		}
 	}
 }
 
-// TestSnapshotDecodesV1 pins backward compatibility: a v1 snapshot — strategy
-// line without the cmpfeed/dict fields, no cmpop records — must still decode,
-// with the comparison-feedback flags off (they postdate the format) and
-// resume into a runnable campaign.
-func TestSnapshotDecodesV1(t *testing.T) {
+// TestSnapshotRNGStateRoundTrip pins the O(1) rng capture: the coordinator
+// generator's state survives encode and decode verbatim, and the resumed
+// campaign's rng continues the paused one's stream draw for draw.
+func TestSnapshotRNGStateRoundTrip(t *testing.T) {
 	comp := compileT(t, corpus.Crowdsale())
-	c := NewCampaign(comp, Options{Strategy: MuFuzz(), Seed: 1, Iterations: 200, Workers: 1})
-	if _, done := c.RunSlice(context.Background(), 2); done {
+	c := NewCampaign(comp, Options{Strategy: MuFuzz(), Seed: 9, Iterations: 400, Workers: 1})
+	if _, done := c.RunSlice(context.Background(), 3); done {
 		t.Fatal("campaign finished before the pause point")
 	}
-	// Transform the current encoding into the exact v1 shape.
-	var v1 bytes.Buffer
-	for _, line := range strings.SplitAfter(string(c.Snapshot().EncodeBytes()), "\n") {
-		switch {
-		case strings.HasPrefix(line, "mufuzz-snapshot v"):
-			v1.WriteString("mufuzz-snapshot v1\n")
-		case strings.HasPrefix(line, "detector "):
-			v1.WriteString(strings.Replace(line, " valueout=0", "", 1))
-		case strings.HasPrefix(line, "strategy "):
-			v1.WriteString(strings.Replace(line, " cmpfeed=1 dict=1", "", 1))
-		case strings.HasPrefix(line, "cmpop "):
-			// v1 had no operand table
-		default:
-			v1.WriteString(line)
-		}
-	}
-	snap, err := DecodeSnapshot(bytes.NewReader(v1.Bytes()))
+	snap, err := DecodeSnapshot(bytes.NewReader(c.Snapshot().EncodeBytes()))
 	if err != nil {
-		t.Fatalf("v1 snapshot failed to decode: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
-	if snap.Options.Strategy.CmpFeedback || snap.Options.Strategy.MinedDictionary {
-		t.Error("v1 snapshot must resume with the comparison-feedback flags off")
-	}
-	if len(snap.CmpOps) != 0 {
-		t.Errorf("v1 snapshot decoded %d cmpop records from nowhere", len(snap.CmpOps))
+	if snap.RngState != c.rngSrc.state {
+		t.Fatalf("rng state %d decoded as %d", c.rngSrc.state, snap.RngState)
 	}
 	resumed, err := ResumeCampaign(comp, snap)
 	if err != nil {
-		t.Fatalf("resume from v1: %v", err)
+		t.Fatalf("resume: %v", err)
 	}
-	if res, done := resumed.RunSlice(context.Background(), 0); !done || res.Executions == 0 {
-		t.Error("campaign resumed from v1 snapshot did not run to completion")
+	for i := 0; i < 1000; i++ {
+		if want, got := c.rng.Int63(), resumed.rng.Int63(); want != got {
+			t.Fatalf("draw %d after resume: got %d, want %d", i, got, want)
+		}
+	}
+}
+
+// TestChildRNGSetupAllocatesNothing pins the per-child rng cost: reseeding
+// the campaign's reusable child rng from a coordinator draw allocates
+// nothing.
+func TestChildRNGSetupAllocatesNothing(t *testing.T) {
+	c := NewCampaign(compileT(t, corpus.Crowdsale()), Options{Strategy: MuFuzz(), Seed: 1})
+	if avg := testing.AllocsPerRun(100, func() {
+		c.childRng.Seed(c.rng.Int63())
+		c.childRng.Intn(32)
+	}); avg != 0 {
+		t.Fatalf("per-child rng setup allocates %.1f objects", avg)
 	}
 }
 

@@ -9,46 +9,9 @@ import (
 	"mufuzz/internal/corpus"
 )
 
-// TestSnapshotDecodesV2 pins backward compatibility with the previous
-// format: a v2 snapshot — no world records, detector line without the
-// valueout aggregate — must decode with the world fields at their zero
-// values and resume into a runnable campaign.
-func TestSnapshotDecodesV2(t *testing.T) {
-	comp := compileT(t, corpus.Crowdsale())
-	c := NewCampaign(comp, Options{Strategy: MuFuzz(), Seed: 1, Iterations: 200, Workers: 1})
-	if _, done := c.RunSlice(context.Background(), 2); done {
-		t.Fatal("campaign finished before the pause point")
-	}
-	var v2 bytes.Buffer
-	for _, line := range strings.SplitAfter(string(c.Snapshot().EncodeBytes()), "\n") {
-		switch {
-		case strings.HasPrefix(line, "mufuzz-snapshot v"):
-			v2.WriteString("mufuzz-snapshot v2\n")
-		case strings.HasPrefix(line, "detector "):
-			v2.WriteString(strings.Replace(line, " valueout=0", "", 1))
-		default:
-			v2.WriteString(line)
-		}
-	}
-	snap, err := DecodeSnapshot(bytes.NewReader(v2.Bytes()))
-	if err != nil {
-		t.Fatalf("v2 snapshot failed to decode: %v", err)
-	}
-	if len(snap.WorldMembers) != 0 || snap.Attacker || snap.ValueOutSeen {
-		t.Error("v2 snapshot decoded world state from nowhere")
-	}
-	resumed, err := ResumeCampaign(comp, snap)
-	if err != nil {
-		t.Fatalf("resume from v2: %v", err)
-	}
-	if res, done := resumed.RunSlice(context.Background(), 0); !done || res.Executions == 0 {
-		t.Error("campaign resumed from v2 snapshot did not run to completion")
-	}
-}
-
 // TestWorldSnapshotResume proves the resume property for multi-contract
 // worlds: a members-only world campaign paused mid-run, round-tripped
-// through the v3 encoding, and resumed via ResumeWorldCampaign finishes with
+// through the snapshot encoding, and resumed via ResumeWorldCampaign finishes with
 // exactly the uninterrupted result — and the snapshot refuses to resume
 // without the world or into a changed one.
 func TestWorldSnapshotResume(t *testing.T) {

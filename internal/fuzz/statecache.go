@@ -45,9 +45,6 @@ import (
 // cache-transparency invariant makes their use semantically invisible.
 type prefixCache struct {
 	shards [prefixShards]prefixShard
-	// epoch counts published snapshot generations across all shards;
-	// prefixView compares it to skip refreshing unchanged snapshots.
-	epoch  atomic.Uint64
 	hits   atomic.Int64
 	misses atomic.Int64
 }
@@ -95,7 +92,7 @@ type prefixEntry struct {
 	// outcome on a hit. Absorption is idempotent on the coordinator, so the
 	// replay is a semantic no-op for a sequential campaign — but it makes
 	// every outcome self-contained, which keeps proof-of-concept capture
-	// deterministic in batched mode regardless of which worker happened to
+	// deterministic at any worker count regardless of which worker happened to
 	// populate the cache first.
 	reports []txReport
 	// nestedDepth is the deepest branch-site nesting reached in the prefix.
@@ -310,9 +307,8 @@ func (pc *prefixCache) storeKeyed(key uint64, n int, st *state.State, taint map[
 	}
 }
 
-// publishLocked copies the live map into a fresh immutable snapshot, swaps
-// it in for the lock-free readers, and bumps the cache epoch so per-worker
-// views refresh. Caller holds sh.mu.
+// publishLocked copies the live map into a fresh immutable snapshot and
+// swaps it in for the lock-free readers. Caller holds sh.mu.
 func (sh *prefixShard) publishLocked(pc *prefixCache) {
 	next := make(prefixSnap, len(sh.live))
 	for k, v := range sh.live {
@@ -320,7 +316,6 @@ func (sh *prefixShard) publishLocked(pc *prefixCache) {
 	}
 	sh.snap.Store(&next)
 	sh.unpub = 0
-	pc.epoch.Add(1)
 }
 
 // flush publishes every shard's pending live entries immediately. Tests use
@@ -363,39 +358,29 @@ func (pc *prefixCache) stats() (hits, misses int) {
 	return int(pc.hits.Load()), int(pc.misses.Load())
 }
 
-// prefixView is one executor's cached read affinity over the cache: the 16
-// shard snapshots, revalidated against the global epoch once per execution
-// instead of once per probe. A sequence walk probes the cache O(len²) times
-// across lookup and store-policy scans; through the view those probes are
-// plain map reads on worker-local pointers — no atomics, no shared cache
-// lines — while a stale view is at most one execution behind (and staleness
-// is semantically invisible by cache transparency: a missed fresh entry only
-// costs a longer re-execution, a just-evicted entry is still valid).
+// prefixView is one execution's read affinity over the cache: the 16 shard
+// snapshots, loaded once per execution instead of once per probe. A sequence
+// walk probes the cache O(len²) times across lookup and store-policy scans;
+// through the view those probes are plain map reads on execution-local
+// pointers — no atomics, no shared cache lines. The view misses only what
+// was published after it loaded, which cache transparency makes
+// semantically invisible: a missed fresh entry only costs a longer
+// re-execution, a just-evicted entry is still valid. The view lives no longer than the execution, so an idle
+// executor pins no generation of entries the cache has since evicted.
 type prefixView struct {
 	pc    *prefixCache
-	epoch uint64
 	snaps [prefixShards]prefixSnap
 }
 
-// refresh revalidates the view against pc, reloading the shard snapshots
-// only when some store has bumped the epoch since the last refresh. The
-// epoch is read before the snapshots: a concurrent store between the two
-// loads yields fresher snapshots stamped with the older epoch, forcing a
-// redundant (never unsafe) refresh next time.
-func (v *prefixView) refresh(pc *prefixCache) {
+// load points the view at pc's current shard snapshots.
+func (v *prefixView) load(pc *prefixCache) {
+	v.pc = pc
 	if pc == nil {
-		v.pc = nil
-		return
-	}
-	e := pc.epoch.Load()
-	if v.pc == pc && v.epoch == e {
 		return
 	}
 	for i := range v.snaps {
 		v.snaps[i] = pc.shards[i].view()
 	}
-	v.pc = pc
-	v.epoch = e
 }
 
 // lookupHashed mirrors prefixCache.lookupHashed over the view's snapshots.

@@ -20,10 +20,9 @@
 // The engine is a coordinator/executor architecture. Set Options.Workers to
 // fan each energy round's batch of mutated children across N executor
 // goroutines, each owning its own EVM, state copy, and trace buffer, with
-// outcomes merged deterministically on the coordinator: Workers 1 (the
-// default) is the sequential engine, reproducible across machines for a
-// fixed Seed; Workers N > 1 is reproducible for a fixed (Seed, N) pair; a
-// negative value uses all CPU cores.
+// outcomes merged deterministically on the coordinator. Results are
+// reproducible across machines and worker counts for a fixed Seed; Workers
+// defaults to 1 and a negative value uses all CPU cores.
 package mufuzz
 
 import (
