@@ -330,25 +330,31 @@ func (co *Coordinator) Acquire(req LeaseRequest) (*Lease, error) {
 	return out, nil
 }
 
-// leaseImportsLocked picks pollination seeds for a lease: store seeds of
-// the campaign's bucket the campaign has neither produced nor consumed.
+// leaseImportsLocked picks pollination seeds for a lease: the first
+// ImportPerLease valid store seeds of the campaign's bucket, in fingerprint
+// order, that the campaign has neither produced nor consumed. Only those
+// candidates are read and checked; corrupt objects are skipped uncounted.
 func (co *Coordinator) leaseImportsLocked(c *campaign) []SeedObject {
 	if co.cfg.Store == nil {
 		return nil
 	}
-	entries, err := co.cfg.Store.Seeds(c.bucket)
+	names, err := co.cfg.Store.Names(store.KindSeed, c.bucket)
 	if err != nil {
 		return nil
 	}
 	var out []SeedObject
-	for _, e := range entries {
+	for _, name := range names {
 		if len(out) >= co.cfg.ImportPerLease {
 			break
 		}
-		if c.imported[e.Name] || c.exported[e.Name] {
+		if c.imported[name] || c.exported[name] {
 			continue
 		}
-		out = append(out, SeedObject{Fingerprint: e.Name, Payload: e.Payload})
+		payload, err := co.cfg.Store.Get(store.KindSeed, c.bucket, name)
+		if err != nil {
+			continue
+		}
+		out = append(out, SeedObject{Fingerprint: name, Payload: payload})
 	}
 	return out
 }

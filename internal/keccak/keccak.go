@@ -3,77 +3,14 @@
 //
 // The EVM substrate needs Keccak-256 in three places: 4-byte function
 // selectors, the KECCAK256 (SHA3) opcode, and the storage-slot derivation of
-// Solidity mappings. The implementation is self-contained because the Go
-// standard library ships SHA-3 only under golang.org/x/crypto, which is
-// unavailable in this offline build.
+// Solidity mappings. The implementation is self-contained because the
+// standard library's crypto/sha3 (Go 1.24) implements only the NIST SHA-3
+// functions, whose 0x06 padding gives different digests, and has no legacy
+// Keccak-256; that lives in golang.org/x/crypto/sha3, an external module
+// this dependency-free build does not use.
 package keccak
 
 import "encoding/binary"
-
-// round constants for Keccak-f[1600].
-var roundConstants = [24]uint64{
-	0x0000000000000001, 0x0000000000008082, 0x800000000000808a,
-	0x8000000080008000, 0x000000000000808b, 0x0000000080000001,
-	0x8000000080008081, 0x8000000000008009, 0x000000000000008a,
-	0x0000000000000088, 0x0000000080008009, 0x000000008000000a,
-	0x000000008000808b, 0x800000000000008b, 0x8000000000008089,
-	0x8000000000008003, 0x8000000000008002, 0x8000000000000080,
-	0x000000000000800a, 0x800000008000000a, 0x8000000080008081,
-	0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
-}
-
-// rotation offsets, indexed [x][y] flattened as x + 5*y.
-var rotc = [25]uint{
-	0, 1, 62, 28, 27,
-	36, 44, 6, 55, 20,
-	3, 10, 43, 25, 39,
-	41, 45, 15, 21, 8,
-	18, 2, 61, 56, 14,
-}
-
-// pi lane permutation: destination index for each source lane.
-var piln = [25]int{
-	0, 10, 20, 5, 15,
-	16, 1, 11, 21, 6,
-	7, 17, 2, 12, 22,
-	23, 8, 18, 3, 13,
-	14, 24, 9, 19, 4,
-}
-
-// keccakF1600 applies the 24-round Keccak permutation in place.
-func keccakF1600(a *[25]uint64) {
-	var c [5]uint64
-	var d [5]uint64
-	for round := 0; round < 24; round++ {
-		// theta
-		for x := 0; x < 5; x++ {
-			c[x] = a[x] ^ a[x+5] ^ a[x+10] ^ a[x+15] ^ a[x+20]
-		}
-		for x := 0; x < 5; x++ {
-			d[x] = c[(x+4)%5] ^ rotl(c[(x+1)%5], 1)
-		}
-		for x := 0; x < 5; x++ {
-			for y := 0; y < 25; y += 5 {
-				a[x+y] ^= d[x]
-			}
-		}
-		// rho and pi combined
-		var b [25]uint64
-		for i := 0; i < 25; i++ {
-			b[piln[i]] = rotl(a[i], rotc[i])
-		}
-		// chi
-		for y := 0; y < 25; y += 5 {
-			for x := 0; x < 5; x++ {
-				a[x+y] = b[x+y] ^ (^b[(x+1)%5+y] & b[(x+2)%5+y])
-			}
-		}
-		// iota
-		a[0] ^= roundConstants[round]
-	}
-}
-
-func rotl(v uint64, n uint) uint64 { return v<<n | v>>(64-n) }
 
 const rate = 136 // bytes absorbed per permutation for Keccak-256
 
@@ -84,49 +21,55 @@ type Hasher struct {
 	n     int // bytes buffered in buf
 }
 
-// Write absorbs p into the sponge. It never returns an error.
+// Write absorbs p into the sponge. It never returns an error. Whole blocks
+// are absorbed straight from p; only a partial block is buffered.
 func (h *Hasher) Write(p []byte) (int, error) {
 	total := len(p)
-	for len(p) > 0 {
-		space := rate - h.n
-		if space > len(p) {
-			space = len(p)
+	if h.n > 0 {
+		k := copy(h.buf[h.n:], p)
+		h.n += k
+		p = p[k:]
+		if h.n < rate {
+			return total, nil
 		}
-		copy(h.buf[h.n:], p[:space])
-		h.n += space
-		p = p[space:]
-		if h.n == rate {
-			h.absorb()
-		}
+		h.absorb(h.buf[:])
 	}
+	for len(p) >= rate {
+		h.absorb(p[:rate])
+		p = p[rate:]
+	}
+	h.n = copy(h.buf[:], p)
 	return total, nil
 }
 
-func (h *Hasher) absorb() {
-	for i := 0; i < rate/8; i++ {
-		h.state[i] ^= binary.LittleEndian.Uint64(h.buf[i*8:])
+// absorb XORs one rate-sized block into the state and permutes it.
+func (h *Hasher) absorb(block []byte) {
+	block = block[:rate]
+	for i := range rate / 8 {
+		h.state[i] ^= binary.LittleEndian.Uint64(block[i*8:])
 	}
 	keccakF1600(&h.state)
-	h.n = 0
 }
 
 // Sum256 finalizes a copy of the hasher state and returns the 32-byte digest.
 // The hasher itself may continue to absorb data afterwards.
 func (h *Hasher) Sum256() [32]byte {
-	// Work on a copy so Sum256 is non-destructive.
 	cp := *h
+	return cp.finish()
+}
+
+// finish pads the buffered tail, absorbs it and squeezes the digest. It
+// consumes h.
+func (h *Hasher) finish() [32]byte {
 	// Legacy Keccak padding: 0x01 ... 0x80 (multi-rate padding with domain 0x01).
-	cp.buf[cp.n] = 0x01
-	for i := cp.n + 1; i < rate; i++ {
-		cp.buf[i] = 0
-	}
-	cp.buf[rate-1] |= 0x80
-	cp.n = rate
-	cp.absorb()
+	h.buf[h.n] = 0x01
+	clear(h.buf[h.n+1:])
+	h.buf[rate-1] |= 0x80
+	h.absorb(h.buf[:])
 
 	var out [32]byte
-	for i := 0; i < 4; i++ {
-		binary.LittleEndian.PutUint64(out[i*8:], cp.state[i])
+	for i := range 4 {
+		binary.LittleEndian.PutUint64(out[i*8:], h.state[i])
 	}
 	return out
 }
@@ -140,7 +83,7 @@ func (h *Hasher) Reset() {
 func Sum256(data []byte) [32]byte {
 	var h Hasher
 	h.Write(data)
-	return h.Sum256()
+	return h.finish()
 }
 
 // Selector returns the 4-byte Ethereum function selector for a canonical

@@ -531,26 +531,32 @@ func classList(res *fuzz.Result) []string {
 	return out
 }
 
-// importSeeds injects store seeds this campaign has not seen. Own exports
-// are skipped, so a lone campaign never re-executes its own corpus.
+// importSeeds injects store seeds this campaign has not seen, in
+// fingerprint order, up to ImportPerSlice of them. Own exports are skipped,
+// so a lone campaign never re-executes its own corpus. Only the candidates
+// are read and checked; corrupt objects are skipped and stay unmarked.
 func (s *Service) importSeeds(j *job) int {
 	if s.cfg.Store == nil {
 		return 0
 	}
-	entries, err := s.cfg.Store.Seeds(j.contract)
+	names, err := s.cfg.Store.Names(store.KindSeed, j.contract)
 	if err != nil {
 		return 0
 	}
 	var batch []fuzz.Sequence
-	for _, e := range entries {
+	for _, name := range names {
 		if len(batch) >= s.cfg.ImportPerSlice {
 			break
 		}
-		if j.imported[e.Name] || j.exported[e.Name] {
+		if j.imported[name] || j.exported[name] {
 			continue
 		}
-		j.imported[e.Name] = true
-		seq, err := fuzz.DecodeSequence(e.Payload)
+		payload, err := s.cfg.Store.Get(store.KindSeed, j.contract, name)
+		if err != nil {
+			continue
+		}
+		j.imported[name] = true
+		seq, err := fuzz.DecodeSequence(payload)
 		if err != nil {
 			continue
 		}

@@ -7,11 +7,15 @@ import (
 
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"mufuzz/internal/corpus"
+	"mufuzz/internal/fuzz"
 	"mufuzz/internal/store"
 )
 
@@ -313,5 +317,74 @@ func TestSchedulerFairness(t *testing.T) {
 		if st.Executions < 2000 {
 			t.Fatalf("campaign %s starved: %+v", st.ID, st)
 		}
+	}
+}
+
+// TestImportSeedsReadOnlyCandidates fills a bucket with more seeds than one
+// slice imports, corrupts one in the middle and plants one that does not
+// decode, and checks that each slice marks exactly the seeds the full List
+// walk marked: a decode failure is marked but not counted, a corrupt object
+// is neither.
+func TestImportSeedsReadOnlyCandidates(t *testing.T) {
+	st := openStoreT(t, t.TempDir())
+	const limit = 3
+	svc := New(Config{Store: st, ImportPerSlice: limit})
+	status, err := svc.Submit(CampaignSpec{Example: "crowdsale-buggy", Seed: 1, Iterations: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _ := svc.job(status.ID)
+	valid := fuzz.EncodeSequence(fuzz.Sequence{{Func: fuzz.CtorName}})
+	var names []string
+	for i := 0; i < 12; i++ {
+		name := fmt.Sprintf("%02x", i)
+		names = append(names, name)
+		payload := valid
+		if i == 2 {
+			payload = []byte("not a sequence")
+		}
+		if _, err := st.PutSeed(j.contract, name, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(st.Root(), string(store.KindSeed), j.contract, names[5]), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j.exported[names[1]] = true
+
+	for slice := 0; ; slice++ {
+		// The full-List selection, applied to a copy of the marks.
+		want := make(map[string]bool)
+		for k := range j.imported {
+			want[k] = true
+		}
+		entries, err := st.Seeds(j.contract)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, e := range entries {
+			if n >= limit {
+				break
+			}
+			if want[e.Name] || j.exported[e.Name] {
+				continue
+			}
+			want[e.Name] = true
+			if _, err := fuzz.DecodeSequence(e.Payload); err == nil {
+				n++
+			}
+		}
+		before := len(j.imported)
+		svc.importSeeds(j)
+		if !reflect.DeepEqual(j.imported, want) {
+			t.Fatalf("slice %d: marked %v, full-List selection %v", slice, j.imported, want)
+		}
+		if len(j.imported) == before {
+			break
+		}
+	}
+	if j.imported[names[5]] || !j.imported[names[2]] {
+		t.Fatalf("corrupt seed marked or undecodable seed unmarked: %v", j.imported)
 	}
 }

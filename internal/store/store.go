@@ -283,15 +283,14 @@ type Entry struct {
 	Payload []byte
 }
 
-// List returns every valid object under (kind, bucket) in name order,
-// silently skipping partial or corrupt files.
-func (s *Store) List(kind Kind, bucket string) ([]Entry, error) {
-	dir := filepath.Join(s.root, string(kind))
-	if bucket != "" {
-		if err := cleanName(bucket); err != nil {
-			return nil, err
-		}
-		dir = filepath.Join(dir, bucket)
+// Names returns the object names under (kind, bucket) in name order
+// without reading the objects, so a caller that wants only some of them can
+// Get just those. Names may include partial or corrupt objects; Get reports
+// them.
+func (s *Store) Names(kind Kind, bucket string) ([]string, error) {
+	dir, err := s.bucketDir(kind, bucket)
+	if err != nil {
+		return nil, err
 	}
 	des, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
@@ -300,18 +299,30 @@ func (s *Store) List(kind Kind, bucket string) ([]Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	var out []Entry
+	var out []string
 	for _, de := range des {
-		if de.IsDir() || strings.HasPrefix(de.Name(), tmpPrefix) {
-			continue
+		if !de.IsDir() && !strings.HasPrefix(de.Name(), tmpPrefix) {
+			out = append(out, de.Name())
 		}
-		payload, err := readFramed(filepath.Join(dir, de.Name()))
+	}
+	return out, nil
+}
+
+// List returns every valid object under (kind, bucket) in name order,
+// silently skipping partial or corrupt files.
+func (s *Store) List(kind Kind, bucket string) ([]Entry, error) {
+	names, err := s.Names(kind, bucket)
+	if err != nil {
+		return nil, err
+	}
+	var out []Entry
+	for _, name := range names {
+		payload, err := s.Get(kind, bucket, name)
 		if err != nil {
 			continue // crash remnant or corruption: skip, never surface garbage
 		}
-		out = append(out, Entry{Name: de.Name(), Payload: payload})
+		out = append(out, Entry{Name: name, Payload: payload})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
 }
 
@@ -335,16 +346,28 @@ func (s *Store) Buckets(kind Kind) ([]string, error) {
 	return out, nil
 }
 
+// bucketDir returns the directory of (kind, bucket); bucket "" is the
+// kind's own directory.
+func (s *Store) bucketDir(kind Kind, bucket string) (string, error) {
+	dir := filepath.Join(s.root, string(kind))
+	if bucket == "" {
+		return dir, nil
+	}
+	if err := cleanName(bucket); err != nil {
+		return "", err
+	}
+	return filepath.Join(dir, bucket), nil
+}
+
 func (s *Store) objectPath(kind Kind, bucket, name string) (string, error) {
 	if err := cleanName(name); err != nil {
 		return "", err
 	}
-	dir := filepath.Join(s.root, string(kind))
+	dir, err := s.bucketDir(kind, bucket)
+	if err != nil {
+		return "", err
+	}
 	if bucket != "" {
-		if err := cleanName(bucket); err != nil {
-			return "", err
-		}
-		dir = filepath.Join(dir, bucket)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return "", fmt.Errorf("store: %w", err)
 		}
