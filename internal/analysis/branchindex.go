@@ -85,17 +85,36 @@ func (ix *BranchIndex) Edge(id int32) (pc uint64, taken bool) {
 // edge (precomputed CFG.VulnReachablePastBranch).
 func (ix *BranchIndex) VulnPast(id int32) bool { return ix.vulnPast[id] }
 
-// EdgeOf resolves a branch event to its compact edge ID: the interned
-// reference carried by the event when present, an index lookup otherwise.
-// Returns -1 for events whose pc is not a known JUMPI site.
-func (ix *BranchIndex) EdgeOf(br evm.BranchEvent) int32 {
-	if id, ok := br.IndexedEdge(); ok {
-		return id
+// BranchHit is what campaign feedback keeps of one JUMPI event of the
+// contract under test once its transaction is over: the resolved edge, the
+// raw site and the comparison behind the condition. It drops the event's
+// address, depth and condition taint, so retained batches take 88 bytes per
+// event instead of a BranchEvent's 128.
+type BranchHit struct {
+	Cmp evm.CmpInfo // valid when HasCmp
+	PC  uint64
+	// Edge is the compact edge ID, -1 when PC is not a known JUMPI site.
+	Edge   int32
+	Taken  bool
+	HasCmp bool
+}
+
+// Hit fills dst from br, resolving the edge from the ID interned at trace
+// time when present and by index lookup otherwise.
+func (ix *BranchIndex) Hit(dst *BranchHit, br *evm.BranchEvent) {
+	id, ok := br.IndexedEdge()
+	if !ok {
+		if id, ok = ix.EdgeID(br.PC, br.Taken); !ok {
+			id = -1
+		}
 	}
-	if id, ok := ix.EdgeID(br.PC, br.Taken); ok {
-		return id
+	dst.Edge = id
+	dst.PC = br.PC
+	dst.Taken = br.Taken
+	dst.HasCmp = br.HasCmp
+	if br.HasCmp {
+		dst.Cmp = br.Cmp
 	}
-	return -1
 }
 
 // EdgeWeights is the indexed replacement for BranchWeights: Algorithm 3
@@ -110,8 +129,8 @@ type EdgeWeights struct {
 	// map engine's re-summation bit for bit regardless of fold order.
 	nonzero int
 	total   float64
-	// stamp/stampGen implement an O(1)-reset visited set for PathWeight's
-	// per-trace dedup, replacing a per-call map allocation.
+	// stamp/stampGen implement an O(1)-reset visited set for PathWeightTx's
+	// per-sequence dedup, replacing a per-call map allocation.
 	stamp    []uint64
 	stampGen uint64
 }
@@ -128,14 +147,14 @@ func NewEdgeWeights(ix *BranchIndex) *EdgeWeights {
 // MergeTrace folds Algorithm 3 over one execution trace directly into the
 // weights, keeping the maximum per edge — equivalent to
 // Merge(WeightTrace(branches, cfg)) without the intermediate map.
-func (ew *EdgeWeights) MergeTrace(branches []evm.BranchEvent) {
+func (ew *EdgeWeights) MergeTrace(hits []BranchHit) {
 	nestedScore := 0
-	for _, br := range branches {
+	for i := range hits {
 		if nestedScore < maxNestedScore {
 			nestedScore++
 		}
 		weight := float64(nestedScore) // w1 = WEIGHT_ASSIGN(nested_score)
-		id := ew.ix.EdgeOf(br)
+		id := hits[i].Edge
 		if id < 0 {
 			continue
 		}
@@ -185,32 +204,18 @@ func (ew *EdgeWeights) Count() int { return ew.nonzero }
 // Total returns the sum of all assigned weights.
 func (ew *EdgeWeights) Total() float64 { return ew.total }
 
-// PathWeight sums the weights of the distinct edges exercised by a trace —
-// the quantity energy allocation is proportional to. Allocation-free: the
-// dedup set is a generation-stamped array. Not safe for concurrent use (the
-// campaign coordinator owns it).
-func (ew *EdgeWeights) PathWeight(branches []evm.BranchEvent) float64 {
+// PathWeightTx sums the weights of the distinct edges exercised by a
+// sequence's per-transaction hit batches — the quantity energy allocation
+// is proportional to — deduping across the whole sequence without
+// materializing a flattened copy. Allocation-free: the dedup set is a
+// generation-stamped array. Not safe for concurrent use (the campaign
+// coordinator owns it).
+func (ew *EdgeWeights) PathWeightTx(hitsByTx [][]BranchHit) float64 {
 	ew.stampGen++
 	total := 0.0
-	for _, br := range branches {
-		id := ew.ix.EdgeOf(br)
-		if id < 0 || ew.stamp[id] == ew.stampGen {
-			continue
-		}
-		ew.stamp[id] = ew.stampGen
-		total += ew.w[id]
-	}
-	return total
-}
-
-// PathWeightTx is PathWeight over per-transaction event batches, deduping
-// across the whole sequence without materializing a flattened copy.
-func (ew *EdgeWeights) PathWeightTx(branchesByTx [][]evm.BranchEvent) float64 {
-	ew.stampGen++
-	total := 0.0
-	for _, branches := range branchesByTx {
-		for _, br := range branches {
-			id := ew.ix.EdgeOf(br)
+	for _, hits := range hitsByTx {
+		for i := range hits {
+			id := hits[i].Edge
 			if id < 0 || ew.stamp[id] == ew.stampGen {
 				continue
 			}

@@ -87,18 +87,20 @@ func TestEdgeWeightsMatchMapImplementation(t *testing.T) {
 	for trace := 0; trace < 50; trace++ {
 		n := 1 + rng.Intn(12)
 		branches := make([]evm.BranchEvent, n)
+		hits := make([]BranchHit, n)
 		for i := range branches {
 			pc := pcs[rng.Intn(len(pcs))]
 			taken := rng.Intn(2) == 0
 			branches[i] = evm.BranchEvent{Addr: addr, PC: pc, Taken: taken}
+			ix.Hit(&hits[i], &branches[i])
 		}
-		ew.MergeTrace(branches)
+		ew.MergeTrace(hits)
 		ref.Merge(WeightTrace(branches, cfg))
 
-		if got, want := ew.PathWeight(branches), PathWeight(branches, ref); got != want {
-			t.Fatalf("trace %d: PathWeight %v != reference %v", trace, got, want)
+		if got, want := ew.PathWeightTx([][]BranchHit{hits}), PathWeight(branches, ref); got != want {
+			t.Fatalf("trace %d: PathWeightTx %v != reference %v", trace, got, want)
 		}
-		if got, want := ew.PathWeightTx([][]evm.BranchEvent{branches[:n/2], branches[n/2:]}), PathWeight(branches, ref); got != want {
+		if got, want := ew.PathWeightTx([][]BranchHit{hits[:n/2], hits[n/2:]}), PathWeight(branches, ref); got != want {
 			t.Fatalf("trace %d: PathWeightTx %v != reference %v", trace, got, want)
 		}
 	}

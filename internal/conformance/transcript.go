@@ -230,9 +230,9 @@ func (t *Transcript) Encode(w io.Writer) error {
 }
 
 // encodeHeader writes the magic, contract, and options lines — shared by
-// Encode and EncodeAssembled so assembled transcripts can never drift from
+// Encode and AssembleTranscript so assembled transcripts can never drift from
 // the canonical header format.
-func encodeHeader(bw *bufio.Writer, version int, contract string, o OptionsSummary) {
+func encodeHeader(bw io.Writer, version int, contract string, o OptionsSummary) {
 	fmt.Fprintf(bw, "%s v%d\n", magic, version)
 	fmt.Fprintf(bw, "contract %s\n", contract)
 	fmt.Fprintf(bw, "options strategy=%q seed=%d iters=%d maxseq=%d gas=%d energy=%d initseeds=%d workers=%d copystate=%d nocache=%d",
@@ -245,8 +245,8 @@ func encodeHeader(bw *bufio.Writer, version int, contract string, o OptionsSumma
 }
 
 // encodeFinal writes the final-summary trailer — shared by Encode and
-// EncodeAssembled.
-func encodeFinal(bw *bufio.Writer, f *Summary) {
+// AssembleTranscript.
+func encodeFinal(bw io.Writer, f *Summary) {
 	fmt.Fprintf(bw, "final covered=%d total=%d execs=%d queue=%d masks=%d seqmut=%d\n",
 		f.CoveredEdges, f.TotalEdges, f.Executions, f.SeedQueueLen, f.MasksComputed, f.SequencesMutated)
 	fmt.Fprintf(bw, "classes %s\n", strings.Join(f.Classes, ","))
@@ -262,22 +262,27 @@ func encodeFinal(bw *bufio.Writer, f *Summary) {
 	fmt.Fprintf(bw, "eof\n")
 }
 
-// EncodeAssembled writes a transcript whose record section is supplied as
-// already-encoded chunks (EncodeRecords output), spliced in verbatim between
-// the canonical header and trailer. This is how the fleet coordinator
-// assembles a campaign transcript from slice commits without re-encoding —
-// byte-identical to Encode on the equivalent in-memory Transcript because
-// chunk concatenation in commit order IS the record section.
-func EncodeAssembled(w io.Writer, contract string, opts OptionsSummary, chunks [][]byte, final Summary) error {
-	bw := bufio.NewWriter(w)
-	encodeHeader(bw, Version, contract, opts)
+// AssembleTranscript returns a transcript whose record section is supplied
+// as already-encoded chunks (EncodeRecords output), spliced in verbatim
+// between the canonical header and trailer. This is how the fleet
+// coordinator assembles a campaign transcript from slice commits without
+// re-encoding — byte-identical to Encode on the equivalent in-memory
+// Transcript because chunk concatenation in commit order IS the record
+// section. The result is allocated once at its exact size.
+func AssembleTranscript(contract string, opts OptionsSummary, chunks [][]byte, final Summary) []byte {
+	var head, tail bytes.Buffer
+	encodeHeader(&head, Version, contract, opts)
+	encodeFinal(&tail, &final)
+	n := head.Len() + tail.Len()
 	for _, ch := range chunks {
-		if _, err := bw.Write(ch); err != nil {
-			return err
-		}
+		n += len(ch)
 	}
-	encodeFinal(bw, &final)
-	return bw.Flush()
+	out := make([]byte, 0, n)
+	out = append(out, head.Bytes()...)
+	for _, ch := range chunks {
+		out = append(out, ch...)
+	}
+	return append(out, tail.Bytes()...)
 }
 
 // encodeRecord writes one record's canonical lines — the unit both the full

@@ -309,3 +309,71 @@ func FuzzWorldNoCrash(f *testing.F) {
 		_, _ = e.Transact(sender, second, u256.Zero, input, 300_000)
 	})
 }
+
+// TestBranchTargetFlag pins BranchEvent.Target across frame kinds: it is
+// decided once per frame, and must equal Addr == BranchIndexAddr for the
+// indexed contract's own frame, a DELEGATECALL frame running library code
+// in its storage context, a CALL into another contract, and a re-entry of
+// the indexed contract from that callee. Only target events are interned.
+func TestBranchTargetFlag(t *testing.T) {
+	peer := state.AddressFromUint(0xbeef)
+	lib := state.AddressFromUint(0x11b)
+	code := dispatchCode(func(a *Assembler) {
+		// DELEGATECALL lib (status popped), then CALL peer with empty calldata.
+		a.PushUint(0).PushUint(0).PushUint(0).PushUint(0)
+		a.PushUint(0x11b).Op(GAS).Op(DELEGATECALL).Op(POP)
+		a.PushUint(0).PushUint(0).PushUint(0).PushUint(0).PushUint(0)
+		a.PushUint(0xbeef).Op(GAS).Op(CALL)
+	}, func(a *Assembler) { // re-entered with calldata: one more branch
+		a.PushUint(1).JumpITo("reentered").Label("reentered")
+	})
+	branchy := func(call func(a *Assembler)) []byte {
+		a := NewAssembler()
+		a.Op(CALLDATASIZE).JumpITo("skip")
+		call(a)
+		a.Label("skip").Op(STOP)
+		return a.MustBuild()
+	}
+	// peer branches, then re-enters the contract with one byte of calldata.
+	peerCode := branchy(func(a *Assembler) {
+		a.PushUint(0).PushUint(0).PushUint(1).PushUint(0).PushUint(0)
+		a.PushUint(0xc0de).Op(GAS).Op(CALL).Op(POP)
+	})
+	libCode := branchy(func(a *Assembler) {})
+
+	for _, disableIR := range []bool{false, true} {
+		e, sender, contract := testEnv(t, code)
+		e.DisableIR = disableIR
+		e.BranchIndex = stubIndexer{}
+		e.BranchIndexAddr = contract
+		e.State.CreateContract(peer, peerCode, sender)
+		e.State.CreateContract(lib, libCode, sender)
+		e.State.Commit()
+		if _, err := e.Transact(sender, contract, u256.Zero, nil, 10_000_000); err != nil {
+			t.Fatal(err)
+		}
+		// Branches append in execution order: the contract's dispatch, the
+		// library's (depth 2, contract context), the peer's (depth 2), the
+		// re-entered contract's dispatch and inner branch (depth 3).
+		want := []struct {
+			addr  state.Address
+			depth int
+		}{{contract, 1}, {contract, 2}, {peer, 2}, {contract, 3}, {contract, 3}}
+		brs := e.Trace.Branches
+		if len(brs) != len(want) {
+			t.Fatalf("DisableIR=%v: %d branch events, want %d", disableIR, len(brs), len(want))
+		}
+		for i, br := range brs {
+			if br.Addr != want[i].addr || br.Depth != want[i].depth {
+				t.Errorf("DisableIR=%v event %d: addr %s depth %d, want %s depth %d",
+					disableIR, i, br.Addr, br.Depth, want[i].addr, want[i].depth)
+			}
+			if br.Target != (br.Addr == e.BranchIndexAddr) {
+				t.Errorf("DisableIR=%v event %d: Target=%v for addr %s", disableIR, i, br.Target, br.Addr)
+			}
+			if _, interned := br.IndexedEdge(); interned != br.Target {
+				t.Errorf("DisableIR=%v event %d: interned=%v, Target=%v", disableIR, i, interned, br.Target)
+			}
+		}
+	}
+}

@@ -399,6 +399,7 @@ func (e *EVM) frameFor(addr, caller state.Address, value u256.Int, input, code [
 	}
 	f.evm = e
 	f.addr = addr
+	f.target = addr == e.BranchIndexAddr
 	f.caller = caller
 	f.value = value
 	f.input = input
@@ -475,6 +476,9 @@ type frame struct {
 	dests      []bool
 	// busy guards pooled reuse: set while the frame is executing.
 	busy bool
+	// target caches addr == evm.BranchIndexAddr for the frame's lifetime;
+	// every JUMPI event carries it as BranchEvent.Target.
+	target bool
 }
 
 // validDest reports whether dst is a JUMPDEST on the decoding grid.
@@ -634,9 +638,10 @@ func (f *frame) storageKeyFor(slot u256.Int) StorageKey {
 	return StorageKey{addr: f.addr, slot: slot}
 }
 
-// recordSink appends a taint sink event when taint is interesting.
+// recordSink appends a taint sink event when the taint carries a bit some
+// oracle matches (OracleTaint).
 func (f *frame) recordSink(kind SinkKind, t Taint) {
-	if t == 0 || f.evm.Trace == nil {
+	if t&OracleTaint == 0 || f.evm.Trace == nil {
 		return
 	}
 	f.evm.Trace.Sinks = append(f.evm.Trace.Sinks, TaintSink{
@@ -688,31 +693,43 @@ func invalidOpErr(op OpCode, pc uint64) error {
 // recordBranch emits the JUMPI trace event: the branch itself (with interned
 // edge identity for the contract under test), the checked-call mark when the
 // condition derives from an external call's status word, and the tainted
-// condition sink. Shared verbatim by the switch loop and every fused IR
-// variant so transcripts cannot diverge.
-func (f *frame) recordBranch(taken bool, condTaint Taint, hasCmp bool, cmp CmpInfo, callID int) {
+// condition sink. cmp is the comparison behind the condition, nil when there
+// is none. Shared verbatim by the switch loop and every fused IR variant so
+// transcripts cannot diverge.
+func (f *frame) recordBranch(taken bool, condTaint Taint, cmp *CmpInfo, callID int) {
 	e := f.evm
-	if e.Trace != nil {
-		ev := BranchEvent{
-			Addr:      f.addr,
-			PC:        f.pc,
-			Taken:     taken,
-			CondTaint: condTaint,
-			Depth:     f.depth,
-			HasCmp:    hasCmp,
+	if tr := e.Trace; tr != nil {
+		// The event is written in place at the tail of the reused buffer,
+		// so every field is set: the slot may hold an earlier transaction's
+		// event.
+		n := len(tr.Branches)
+		if n < cap(tr.Branches) {
+			tr.Branches = tr.Branches[:n+1]
+		} else {
+			tr.Branches = append(tr.Branches, BranchEvent{})
 		}
-		if hasCmp {
-			ev.Cmp = cmp
+		ev := &tr.Branches[n]
+		ev.Addr = f.addr
+		ev.PC = f.pc
+		ev.Taken = taken
+		ev.Target = f.target
+		ev.CondTaint = condTaint
+		ev.Depth = f.depth
+		ev.HasCmp = cmp != nil
+		if cmp != nil {
+			ev.Cmp = *cmp
+		} else {
+			ev.Cmp = CmpInfo{}
 		}
-		if e.BranchIndex != nil && f.addr == e.BranchIndexAddr {
+		ev.EdgeRef = 0
+		if e.BranchIndex != nil && f.target {
 			if id, ok := e.BranchIndex.EdgeID(f.pc, taken); ok {
 				ev.EdgeRef = id + 1
 			}
 		}
-		e.Trace.Branches = append(e.Trace.Branches, ev)
 		if callID != 0 {
 			if idx := e.callIndexOf(callID); idx >= 0 {
-				e.Trace.Calls[idx].Checked = true
+				tr.Calls[idx].Checked = true
 			}
 		}
 	}
@@ -1148,11 +1165,7 @@ func (f *frame) execute(op OpCode) (done bool, out []byte, err error) {
 		dst, _, _ := f.pop()
 		cond, mc, _ := f.pop()
 		taken := !cond.IsZero()
-		var cmp CmpInfo
-		if mc.cmp != nil {
-			cmp = *mc.cmp
-		}
-		f.recordBranch(taken, mc.taint, mc.cmp != nil, cmp, mc.callID)
+		f.recordBranch(taken, mc.taint, mc.cmp, mc.callID)
 		if taken {
 			if !f.validDest(dst) {
 				return false, nil, fmt.Errorf("%w: to %s at pc %d", ErrInvalidJump, dst, f.pc)

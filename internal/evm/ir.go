@@ -496,7 +496,7 @@ func (f *frame) runFused(p *Program, i int, ins *irInstr) (int, bool) {
 			f.recordSink(SinkEq, mv.taint)
 		}
 		f.pc = uint64(p.instrs[i+4].pc) // the JUMPI
-		f.recordBranch(taken, mv.taint, true, CmpInfo{Op: EQ, A: sel, B: v}, mv.callID)
+		f.recordBranch(taken, mv.taint, &CmpInfo{Op: EQ, A: sel, B: v}, mv.callID)
 		if taken {
 			return int(ins.fTarget), true
 		}
@@ -533,7 +533,7 @@ func (f *frame) runFused(p *Program, i int, ins *irInstr) (int, bool) {
 			callID = mb.callID
 		}
 		f.pc = uint64(p.instrs[i+2].pc)
-		f.recordBranch(truth, combined, true, CmpInfo{Op: ins.op, A: a, B: b}, callID)
+		f.recordBranch(truth, combined, &CmpInfo{Op: ins.op, A: a, B: b}, callID)
 		if truth {
 			return int(ins.fTarget), true
 		}
@@ -544,12 +544,12 @@ func (f *frame) runFused(p *Program, i int, ins *irInstr) (int, bool) {
 		f.stack = f.stack[:L-1]
 		f.metas = f.metas[:L-1]
 		taken := a.IsZero()
-		cmp := CmpInfo{Op: EQ, A: a, B: u256.Zero}
-		if ma.cmp != nil {
-			cmp = *ma.cmp
+		cmp := ma.cmp
+		if cmp == nil {
+			cmp = &CmpInfo{Op: EQ, A: a, B: u256.Zero}
 		}
 		f.pc = uint64(p.instrs[i+2].pc)
-		f.recordBranch(taken, ma.taint, true, cmp, ma.callID)
+		f.recordBranch(taken, ma.taint, cmp, ma.callID)
 		if taken {
 			return int(ins.fTarget), true
 		}
@@ -563,13 +563,8 @@ func (f *frame) runFused(p *Program, i int, ins *irInstr) (int, bool) {
 		f.stack = f.stack[:L-1]
 		f.metas = f.metas[:L-1]
 		taken := !cond.IsZero()
-		var cmp CmpInfo
-		hasCmp := mc.cmp != nil
-		if hasCmp {
-			cmp = *mc.cmp
-		}
 		f.pc = uint64(p.instrs[i+1].pc)
-		f.recordBranch(taken, mc.taint, hasCmp, cmp, mc.callID)
+		f.recordBranch(taken, mc.taint, mc.cmp, mc.callID)
 		if taken {
 			return int(ins.fTarget), true
 		}

@@ -29,6 +29,14 @@ const (
 	TaintCaller
 )
 
+// OracleTaint is the set of taint sources some oracle matches at a sink:
+// block state (BD), tx.origin (TO), balance (SE) and wrapped arithmetic
+// (IO). The interpreter records a TaintSink only when its taint meets this
+// mask, so a value tainted only by calldata, msg.sender or a call status
+// word costs no sink event. The oracle package tests that every bit its sink
+// rules match is in this mask.
+const OracleTaint = TaintTimestamp | TaintNumber | TaintOrigin | TaintBalance | TaintOverflow
+
 // Has reports whether t includes all bits of q.
 func (t Taint) Has(q Taint) bool { return t&q == q }
 
@@ -77,9 +85,13 @@ func (c CmpInfo) FlipDistance() u256.Int {
 
 // BranchEvent records one executed JUMPI.
 type BranchEvent struct {
-	Addr      state.Address
-	PC        uint64 // program counter of the JUMPI
-	Taken     bool   // whether the jump was taken
+	Addr  state.Address
+	PC    uint64 // program counter of the JUMPI
+	Taken bool   // whether the jump was taken
+	// Target is Addr == EVM.BranchIndexAddr, decided once per call frame so
+	// consumers that keep only the contract under test's branches need not
+	// compare addresses per event.
+	Target    bool
 	CondTaint Taint
 	HasCmp    bool
 	Cmp       CmpInfo
@@ -94,7 +106,7 @@ type BranchEvent struct {
 
 // IndexedEdge returns the event's compact edge ID and whether one was
 // assigned at trace time.
-func (b BranchEvent) IndexedEdge() (int32, bool) {
+func (b *BranchEvent) IndexedEdge() (int32, bool) {
 	return b.EdgeRef - 1, b.EdgeRef > 0
 }
 
@@ -145,7 +157,9 @@ const (
 	SinkStore                      // SSTORE value
 )
 
-// TaintSink records a tainted value reaching an oracle-relevant sink.
+// TaintSink records a tainted value reaching an oracle-relevant sink. Only
+// values whose taint meets OracleTaint are recorded; Taint is the value's
+// full taint, including any bits outside the mask.
 type TaintSink struct {
 	Addr  state.Address
 	PC    uint64
@@ -191,9 +205,11 @@ type ReentryEvent struct {
 
 // Trace accumulates every event of one transaction execution.
 type Trace struct {
-	Branches      []BranchEvent
-	Calls         []CallEvent
-	Overflows     []OverflowEvent
+	Branches  []BranchEvent
+	Calls     []CallEvent
+	Overflows []OverflowEvent
+	// Sinks holds the tainted values that reached a sink, restricted to
+	// those carrying an OracleTaint bit (see TaintSink).
 	Sinks         []TaintSink
 	SStores       []SStoreEvent
 	SelfDestructs []SelfDestructEvent

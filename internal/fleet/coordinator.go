@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -496,6 +495,10 @@ func (co *Coordinator) storeExportsLocked(c *campaign, exports []SeedObject) int
 // The options line is derived from the canonical spec exactly as a
 // single-node recording would derive it.
 func (co *Coordinator) assembleTranscriptLocked(c *campaign, final *conformance.Summary) {
+	// A done campaign never commits again, so its chunks are released here
+	// whether or not assembly succeeds.
+	chunks := c.chunks
+	c.chunks = nil
 	opts, err := service.SpecOptions(c.spec, co.cfg.DefaultIterations, co.cfg.DefaultWorkers)
 	if err == nil {
 		// The options line carries the world token for multi-contract
@@ -511,15 +514,8 @@ func (co *Coordinator) assembleTranscriptLocked(c *campaign, final *conformance.
 		c.status.Error = fmt.Sprintf("assemble transcript: %v", err)
 		return
 	}
-	var buf bytes.Buffer
-	if err := conformance.EncodeAssembled(&buf, c.status.Name,
-		conformance.SummarizeOptions(opts.Normalized()), c.chunks, *final); err != nil {
-		c.state = stateFailed
-		c.status.State = stateFailed
-		c.status.Error = fmt.Sprintf("assemble transcript: %v", err)
-		return
-	}
-	c.transcript = buf.Bytes()
+	c.transcript = conformance.AssembleTranscript(c.status.Name,
+		conformance.SummarizeOptions(opts.Normalized()), chunks, *final)
 	if co.cfg.Store != nil {
 		_ = co.cfg.Store.Put(store.KindTranscript, c.bucket, c.id, c.transcript)
 	}

@@ -118,6 +118,20 @@ func TestFleetMigrationEquivalence(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("migrated fleet transcript diverges from single-node reference (%d vs %d bytes)", len(got), len(want))
 	}
+	// Once assembled, the transcript is the campaign's only copy of its
+	// records: the committed chunks are released, and the transcript buffer
+	// was sized exactly rather than grown.
+	co.mu.Lock()
+	c := co.campaigns[st.ID]
+	chunks, transcript := c.chunks, c.transcript
+	co.mu.Unlock()
+	if chunks != nil {
+		t.Fatalf("done campaign still holds %d record chunks", len(chunks))
+	}
+	if !bytes.Equal(transcript, want) || cap(transcript) != len(transcript) {
+		t.Fatalf("stored transcript: %d bytes, cap %d; want the %d reference bytes at exact capacity",
+			len(transcript), cap(transcript), len(want))
+	}
 
 	// The re-granted slice means more grants than commits: the doomed
 	// lease's work was discarded, not merged.

@@ -654,25 +654,26 @@ type execResult struct {
 	newEdges       int
 	hitNestedDepth int
 	distImproved   bool
-	// branchesByTx references the outcome's per-transaction branch events
+	// branchesByTx references the outcome's per-transaction branch hits
 	// (shared, immutable — no flattened copy is materialized).
-	branchesByTx [][]evm.BranchEvent
+	branchesByTx [][]analysis.BranchHit
 	// newEdgeIDs lists the newly covered edge IDs in event order; collected
 	// only when an Observer is installed (nil on the default hot path).
 	newEdgeIDs []int32
 }
 
-// fold integrates a batch of contract branch events into the campaign's
+// fold integrates a batch of contract branch hits into the campaign's
 // coverage, nesting, and branch-distance bookkeeping. It is shared between
 // live execution and prefix-checkpoint replay so both paths produce
 // identical feedback. Coordinator-only.
 //
-// The whole fold is indexed: events carry interned edge IDs, so coverage,
+// The whole fold is indexed: hits carry resolved edge IDs, so coverage,
 // distance, and nesting bookkeeping are array walks with no hashing. id^1 is
 // the opposite direction of an edge (see analysis.BranchIndex).
-func (c *Campaign) fold(res *execResult, branches []evm.BranchEvent, seq Sequence) {
-	for _, br := range branches {
-		id := c.branchIx.EdgeOf(br)
+func (c *Campaign) fold(res *execResult, branches []analysis.BranchHit, seq Sequence) {
+	for i := range branches {
+		br := &branches[i]
+		id := br.Edge
 		if id < 0 {
 			continue // not a contract JUMPI site; cannot occur for CFG-decoded code
 		}

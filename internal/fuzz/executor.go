@@ -30,11 +30,11 @@ type txReport struct {
 // state and is produced without mutating any — the executor/coordinator
 // contract that makes parallel execution safe.
 type execOutcome struct {
-	// branchesByTx holds the contract's branch events, one batch per
+	// branchesByTx holds the contract's branch hits, one batch per
 	// transaction, covering the whole sequence: checkpoint-replayed prefix
 	// transactions first (shared, immutable slices from the cache entry),
 	// then live transactions.
-	branchesByTx [][]evm.BranchEvent
+	branchesByTx [][]analysis.BranchHit
 	// firstLive is the number of leading transactions served from a prefix
 	// checkpoint (0 when the sequence ran from genesis).
 	firstLive int
@@ -101,9 +101,10 @@ type executor struct {
 	// noIR pins every EVM to the reference switch-loop interpreter
 	// (Options.NoIR conformance ablation).
 	noIR bool
-	// trace is the reusable per-transaction event buffer. Branch events are
-	// copied out of it before reuse, so recycling it across transactions and
-	// executions is safe and saves eight slice allocations per transaction.
+	// trace is the reusable per-transaction event buffer. The contract's
+	// branch events are copied out of it, as hits, before reuse, so
+	// recycling it across transactions and executions is safe and saves
+	// eight slice allocations per transaction.
 	trace *evm.Trace
 	// txBuf is the reusable calldata encoding buffer. The EVM only reads
 	// TopLevelInput during its own transaction and every consumer that retains
@@ -120,12 +121,12 @@ type executor struct {
 	scratch *state.State
 	// hashBuf is the reusable prefix-hash table backing (see prefixHashes).
 	hashBuf []uint64
-	// brArena is the bump allocator for per-transaction branch-event batches.
+	// brArena is the bump allocator for per-transaction branch-hit batches.
 	// Batches are carved off its tail and never recycled (their ownership
 	// transfers to outcomes, the prefix cache, and coverage folding), so one
 	// chunk allocation amortizes over many transactions; only the unused tail
 	// capacity is ever written again.
-	brArena []evm.BranchEvent
+	brArena []analysis.BranchHit
 }
 
 // clone returns an executor sharing the immutable substrate but owning a
@@ -180,21 +181,21 @@ func (x *executor) workState(s *state.State) *state.State {
 	return x.scratch
 }
 
-// carveBranches reserves an n-event batch at the arena tail and returns it
-// empty (len 0, cap n). The caller fills it with append; the reservation
-// means later carves can never touch it, so handing the batch to long-lived
-// owners (outcomes, the prefix cache) is safe.
-func (x *executor) carveBranches(n int) []evm.BranchEvent {
+// carveBranches reserves an n-hit batch at the arena tail and returns it
+// (len n, cap n) for the caller to fill in place. The reservation means
+// later carves can never touch it, so handing the batch to long-lived owners
+// (outcomes, the prefix cache) is safe.
+func (x *executor) carveBranches(n int) []analysis.BranchHit {
 	if cap(x.brArena)-len(x.brArena) < n {
 		sz := 1024
 		if n > sz {
 			sz = n
 		}
-		x.brArena = make([]evm.BranchEvent, 0, sz)
+		x.brArena = make([]analysis.BranchHit, 0, sz)
 	}
 	tail := len(x.brArena)
 	x.brArena = x.brArena[:tail+n]
-	return x.brArena[tail : tail : tail+n]
+	return x.brArena[tail : tail+n : tail+n]
 }
 
 // engine returns the executor's persistent EVM rebound to st. The EVM, its
@@ -304,7 +305,7 @@ func internMethods(t Target) (map[string]abi.Method, map[string][4]byte) {
 func (x *executor) run(seq Sequence) execOutcome {
 	// The outer batch list is exactly one entry per transaction; pre-sizing
 	// makes it a single allocation instead of append growth.
-	out := execOutcome{branchesByTx: make([][]evm.BranchEvent, 0, len(seq))}
+	out := execOutcome{branchesByTx: make([][]analysis.BranchHit, 0, len(seq))}
 
 	var st *state.State
 	var e *evm.EVM
@@ -361,33 +362,37 @@ func (x *executor) run(seq Sequence) execOutcome {
 		e.Trace = x.resetTrace()
 		_, err := e.Transact(sender, x.calleeAddr(tx), value, data, x.gasPerTx)
 
-		// Two-pass copy into an exact-size batch carved off the arena: the
-		// batch's ownership transfers to the outcome (and possibly the prefix
-		// cache), so it must never be written again — carving advances the
-		// arena tail past it, and append-growth overshoot never happens.
+		// Two-pass copy of the contract's events (Target: the EVM's
+		// BranchIndexAddr is contractAddr) into an exact-size batch carved
+		// off the arena: the batch's ownership transfers to the outcome (and
+		// possibly the prefix cache), so it must never be written again —
+		// carving advances the arena tail past it.
+		brs := e.Trace.Branches
 		n := 0
-		for _, br := range e.Trace.Branches {
-			if br.Addr == x.contractAddr {
+		for k := range brs {
+			if brs[k].Target {
 				n++
 			}
 		}
-		var txBranches []evm.BranchEvent
+		var txBranches []analysis.BranchHit
 		if n > 0 {
 			txBranches = x.carveBranches(n)
-			for _, br := range e.Trace.Branches {
-				if br.Addr == x.contractAddr {
-					txBranches = append(txBranches, br)
+			j := 0
+			for k := range brs {
+				if !brs[k].Target {
+					continue
+				}
+				h := &txBranches[j]
+				j++
+				x.branchIx.Hit(h, &brs[k])
+				if h.Edge >= 0 {
+					if d := x.depthByEdge[h.Edge]; d > out.nestedDepth {
+						out.nestedDepth = d
+					}
 				}
 			}
 		}
 		out.branchesByTx = append(out.branchesByTx, txBranches)
-		for _, br := range txBranches {
-			if id, ok := br.IndexedEdge(); ok {
-				if d := x.depthByEdge[id]; d > out.nestedDepth {
-					out.nestedDepth = d
-				}
-			}
-		}
 
 		if rep := x.inspector.Inspect(e.Trace, value, err == nil); !rep.Empty() {
 			out.reports = append(out.reports, txReport{txIdx: i, report: rep})

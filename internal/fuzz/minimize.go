@@ -42,8 +42,9 @@ func (c *Campaign) Replay(seq Sequence) *ReplayResult {
 		Edges:      make(map[evm.BranchKey]bool),
 	}
 	for _, txBranches := range res.branchesByTx {
-		for _, br := range txBranches {
-			out.Edges[br.Key()] = true
+		for i := range txBranches {
+			br := &txBranches[i]
+			out.Edges[evm.BranchKey{Addr: c.contractAddr, PC: br.PC, Taken: br.Taken}] = true
 		}
 	}
 	return out

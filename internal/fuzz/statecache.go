@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mufuzz/internal/analysis"
 	"mufuzz/internal/evm"
 	"mufuzz/internal/state"
 )
@@ -84,10 +85,10 @@ type prefixEntry struct {
 	st *state.State
 	// taint is the EVM's cross-transaction storage taint after the prefix.
 	taint map[evm.StorageKey]evm.Taint
-	// branchesByTx are the contract's branch events of the prefix, one batch
+	// branchesByTx are the contract's branch hits of the prefix, one batch
 	// per transaction, so the feedback fold (per-transaction weight traces)
 	// sees exactly what a re-execution would produce.
-	branchesByTx [][]evm.BranchEvent
+	branchesByTx [][]analysis.BranchHit
 	// reports are the prefix transactions' oracle reports, replayed into the
 	// outcome on a hit. Absorption is idempotent on the coordinator, so the
 	// replay is a semantic no-op for a sequential campaign — but it makes
@@ -256,7 +257,7 @@ func (pc *prefixCache) contains(key uint64) bool {
 // BEFORE materializing the state fork and taint snapshot a store needs, or
 // an inadmissible prefix pays that cost on every execution forever (its key
 // never enters the cache, so the contains() pre-check never short-circuits).
-func (pc *prefixCache) admissible(branchesByTx [][]evm.BranchEvent) bool {
+func (pc *prefixCache) admissible(branchesByTx [][]analysis.BranchHit) bool {
 	total := 0
 	for _, b := range branchesByTx {
 		total += len(b)
@@ -270,7 +271,7 @@ func (pc *prefixCache) admissible(branchesByTx [][]evm.BranchEvent) bool {
 // mutated in place; a fresh immutable snapshot is published only every
 // publishEvery stores, so in-flight readers keep their consistent (slightly
 // stale) generation and the per-store copy cost is amortized away.
-func (pc *prefixCache) storeKeyed(key uint64, n int, st *state.State, taint map[evm.StorageKey]evm.Taint, branchesByTx [][]evm.BranchEvent, reports []txReport, nestedDepth int) {
+func (pc *prefixCache) storeKeyed(key uint64, n int, st *state.State, taint map[evm.StorageKey]evm.Taint, branchesByTx [][]analysis.BranchHit, reports []txReport, nestedDepth int) {
 	if pc == nil || n < 1 || !pc.admissible(branchesByTx) {
 		return
 	}
@@ -278,7 +279,7 @@ func (pc *prefixCache) storeKeyed(key uint64, n int, st *state.State, taint map[
 	// pinned, but the per-transaction event batches are immutable once
 	// built (executors construct them fresh per transaction and nothing
 	// mutates them afterward), so entries share them.
-	cp := append([][]evm.BranchEvent(nil), branchesByTx...)
+	cp := append([][]analysis.BranchHit(nil), branchesByTx...)
 	entry := &prefixEntry{
 		txs:          n,
 		st:           st,

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"mufuzz/internal/analysis"
 	"mufuzz/internal/evm"
 	"mufuzz/internal/state"
 	"mufuzz/internal/u256"
@@ -129,7 +130,7 @@ func TestPrefixCacheConcurrentStress(t *testing.T) {
 				key := hashPrefix(seq, n)
 				if !pc.contains(key) {
 					pc.storeKeyed(key, n, st.Fork(), map[evm.StorageKey]evm.Taint{},
-						[][]evm.BranchEvent{{}}, nil, 0)
+						[][]analysis.BranchHit{{}}, nil, 0)
 				}
 				pc.stats()
 			}

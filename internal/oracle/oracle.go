@@ -189,6 +189,8 @@ func (ins *Inspector) inspectValueOut(tr *evm.Trace, r *report) {
 }
 
 // inspectSinks covers BD, SE, and TO, which are all source→sink taint rules.
+// The EVM records only sinks whose taint meets evm.OracleTaint, so every
+// taint bit matched here (and in inspectOverflows) must lie in that mask.
 func (ins *Inspector) inspectSinks(tr *evm.Trace, r *report) {
 	for _, s := range tr.Sinks {
 		if s.Addr != ins.addr {

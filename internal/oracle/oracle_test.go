@@ -389,3 +389,33 @@ func TestFinalizeDeterministicOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestSinkRulesWithinOracleTaint pins the contract between the interpreter's
+// sink filter and the sink-reading oracles: the EVM records a sink only when
+// its taint meets evm.OracleTaint, so every taint bit that inspectSinks or
+// inspectOverflows matches must lie in that mask, or its findings would
+// silently vanish. Each single bit is offered at every sink kind (with an
+// overflow event present for IO); a bit that yields any finding must be in
+// the mask, and every bit of the mask must yield one somewhere.
+func TestSinkRulesWithinOracleTaint(t *testing.T) {
+	addr := state.AddressFromUint(0xc0de)
+	ins := NewInspector(addr, nil)
+	kinds := []evm.SinkKind{evm.SinkJumpCond, evm.SinkCompare, evm.SinkEq, evm.SinkCallValue, evm.SinkCallTarget, evm.SinkStore}
+	var read evm.Taint
+	for bit := evm.Taint(1); bit != 0; bit <<= 1 {
+		for _, kind := range kinds {
+			tr := evm.NewTrace()
+			tr.Sinks = append(tr.Sinks, evm.TaintSink{Addr: addr, PC: 1, Kind: kind, Taint: bit})
+			tr.Overflows = append(tr.Overflows, evm.OverflowEvent{Addr: addr, PC: 2, Op: evm.ADD})
+			if rep := ins.Inspect(tr, u256.Zero, true); len(rep.Findings) > 0 {
+				read |= bit
+			}
+		}
+	}
+	if extra := read &^ evm.OracleTaint; extra != 0 {
+		t.Errorf("sink rules match taint %#x outside evm.OracleTaint %#x", extra, evm.OracleTaint)
+	}
+	if unused := evm.OracleTaint &^ read; unused != 0 {
+		t.Errorf("evm.OracleTaint keeps taint %#x that no sink rule matches", unused)
+	}
+}
